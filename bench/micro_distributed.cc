@@ -3,30 +3,31 @@
 // on a fig3-style dictionary workload.
 //
 // Measured:
-//   * per-query latency (p50/p99) of the distributed lazy path at each
-//     worker count (unreplicated, R=1), against the in-process baseline —
-//     the IPC round-trip cost of the scatter/gather sweep;
-//   * the same with one deliberately slow shard (an injected per-step
-//     delay), showing how a straggler stretches the tail while results
-//     stay exact;
+//   * per-query latency (p50/p99) of the served read at each worker count
+//     (unreplicated, R=1), against the in-process baseline — one request
+//     per shard, so the IPC cost is S round trips, not one per candidate;
+//   * the same with one deliberately slow shard (an injected delay on
+//     every second request), showing how a straggler stretches the tail
+//     while results stay exact;
 //   * a crashed-worker query, checking degradation is *flagged* rather
 //     than silent;
-//   * the replica-group tier at R=2: healthy replication overhead, the
-//     latency of a query that loses a primary mid-sweep and fails over,
-//     and the slow-primary Eval tail hedged vs unhedged.
+//   * the replica-group tier at R=2: healthy replication overhead (the
+//     sampled audit), the latency of a query whose primary crashes and
+//     fails over, and the unresponsive-primary tail hedged vs unhedged.
 //
 // Contracts checked (CI greps the booleans):
-//   * "identical_results": every healthy distributed answer is
-//     bit-identical — neighbours, distances AND QueryStats — to the
-//     in-process index, at every worker count, at R=2, and under the
-//     slow shard;
+//   * "identical_results": every healthy distributed answer has distances
+//     bit-equal to the in-process index's, and neighbours and QueryStats
+//     equal to the shard-local reference (ShardLocalReference,
+//     serve/replica.h), at every worker count, at R=2, and under the slow
+//     shard;
 //   * "degraded_flagged": the crashed-shard query reports partial=true
 //     and names the missing shard;
-//   * "failover_exact": the query whose primary is killed mid-sweep
-//     still returns the bit-identical answer, unflagged, with the
-//     failover counted;
-//   * "hedged_tail_cut": with one shard's primary slow on Evals, the
-//     hedged p99 beats the unhedged p99.
+//   * "failover_exact": the query whose primary crashes on its request
+//     still returns the exact answer, unflagged, with the failover
+//     counted;
+//   * "hedged_tail_cut": with one shard's primary dropping every second
+//     request, the hedged p99 beats the unhedged p99.
 //
 // Human-readable progress goes to stderr; a single JSON object goes to
 // stdout.
@@ -50,6 +51,7 @@
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/sharded_laesa.h"
+#include "serve/replica.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
 
@@ -76,15 +78,25 @@ double Percentile(std::vector<double> v, double p) {
   return v[i];
 }
 
-bool Identical(const ServeResult& got, const std::vector<NeighborResult>& want,
-               const QueryStats& want_stats) {
+/// The served contract: distances equal the in-process index's; ids,
+/// distances and stats equal the shard-local reference's.
+struct Want {
+  std::vector<NeighborResult> inproc;
+  std::vector<NeighborResult> ref;
+  QueryStats ref_stats;
+};
+
+bool Identical(const ServeResult& got, const Want& want) {
   if (got.partial || !got.missing_shards.empty() ||
-      got.neighbors.size() != want.size() || !(got.stats == want_stats)) {
+      got.neighbors.size() != want.inproc.size() ||
+      got.neighbors.size() != want.ref.size() ||
+      !(got.stats == want.ref_stats)) {
     return false;
   }
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (got.neighbors[i].index != want[i].index ||
-        got.neighbors[i].distance != want[i].distance) {
+  for (std::size_t i = 0; i < want.ref.size(); ++i) {
+    if (got.neighbors[i].distance != want.inproc[i].distance ||
+        got.neighbors[i].index != want.ref[i].index ||
+        got.neighbors[i].distance != want.ref[i].distance) {
       return false;
     }
   }
@@ -133,18 +145,18 @@ int Run() {
 
     // Reference answers + in-process latency (measured once, at S=4's
     // build — any shard count gives the identical sweep).
-    std::vector<std::vector<NeighborResult>> want(queries.size());
-    std::vector<QueryStats> want_stats(queries.size());
+    const ShardLocalReference reference(dir.path, index, "dE");
+    std::vector<Want> want(queries.size());
     std::vector<double> inproc_samples;
     for (int rep = 0; rep < reps; ++rep) {
       for (std::size_t i = 0; i < queries.size(); ++i) {
-        QueryStats st;
         Stopwatch w;
-        auto r = index.KNearest(queries[i], k, &st);
+        want[i].inproc = index.KNearest(queries[i], k);
         inproc_samples.push_back(w.Seconds() * 1e3);
-        want[i] = std::move(r);
-        want_stats[i] = st;
       }
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      want[i].ref = reference.KNearest(queries[i], k, &want[i].ref_stats);
     }
     if (shards == 4) {
       inprocess_p50 = Percentile(inproc_samples, 0.50);
@@ -163,7 +175,7 @@ int Run() {
         Stopwatch w;
         const ServeResult got = router.KNearest(queries[i], k);
         samples.push_back(w.Seconds() * 1e3);
-        identical = identical && Identical(got, want[i], want_stats[i]);
+        identical = identical && Identical(got, want[i]);
         ++checked;
       }
     }
@@ -173,11 +185,11 @@ int Run() {
         << p99_ms.back() << " ms\n";
 
     if (shards == 4) {
-      // One slow shard: every 10th Step on shard 3 sleeps a millisecond —
-      // a straggler, not a dead worker. Results stay exact; only the tail
-      // pays (a sweep is hundreds of steps, so queries slow visibly).
+      // One slow shard: every second request to shard 3 sleeps 5ms — a
+      // straggler, not a dead worker. Results stay exact; only the tail
+      // pays.
       ServeOptions slow_opt = opt;
-      slow_opt.fault_spec = "delay:shard=3,op=step,every=10,ms=1";
+      slow_opt.fault_spec = "delay:shard=3,op=query,every=2,ms=5";
       ServeRouter slow(dir.path, slow_opt);
       std::vector<double> slow_samples;
       const std::size_t slow_queries = std::min<std::size_t>(8, queries.size());
@@ -185,7 +197,7 @@ int Run() {
         Stopwatch w;
         const ServeResult got = slow.KNearest(queries[i], k);
         slow_samples.push_back(w.Seconds() * 1e3);
-        identical = identical && Identical(got, want[i], want_stats[i]);
+        identical = identical && Identical(got, want[i]);
         ++checked;
       }
       slow_p50 = Percentile(slow_samples, 0.50);
@@ -195,7 +207,7 @@ int Run() {
 
       // One crashed shard: the answer must be flagged, not silently wrong.
       ServeOptions crash_opt = opt;
-      crash_opt.fault_spec = "crash:shard=1,op=step,nth=1";
+      crash_opt.fault_spec = "crash:shard=1,op=query,nth=1";
       crash_opt.auto_respawn = false;
       ServeRouter crashed(dir.path, crash_opt);
       const ServeResult got = crashed.KNearest(queries[0], k);
@@ -208,8 +220,8 @@ int Run() {
 
       // --- Replica groups (R=2) ---------------------------------------
 
-      // Healthy replication overhead: every mutating op now fans out to
-      // two processes per shard and waits for both.
+      // Healthy replication overhead: reads go to the primaries; one in
+      // kAuditPeriod is also sent to a standby and byte-compared.
       ServeOptions rep_opt = opt;
       rep_opt.replicas = 2;
       {
@@ -220,7 +232,7 @@ int Run() {
             Stopwatch w;
             const ServeResult got_r = rep.KNearest(queries[i], k);
             rep_samples.push_back(w.Seconds() * 1e3);
-            identical = identical && Identical(got_r, want[i], want_stats[i]);
+            identical = identical && Identical(got_r, want[i]);
             ++checked;
           }
         }
@@ -230,20 +242,20 @@ int Run() {
             << replicated_p99 << " ms\n";
       }
 
-      // Failover latency: shard 2's primary is killed on its 5th visit
-      // pass; the standby is promoted mid-sweep and the answer must stay
-      // bit-identical and unflagged. The reported time is that one
-      // query, end to end — promotion cost included.
+      // Failover latency: shard 2's primary crashes on the query's
+      // request; the router resends it to the standby and the answer must
+      // stay exact and unflagged. The reported time is that one query,
+      // end to end — failover cost included.
       {
         ServeOptions fo_opt = rep_opt;
-        fo_opt.fault_spec = "crash:shard=2,op=step,nth=5,replica=0";
+        fo_opt.fault_spec = "crash:shard=2,op=query,nth=1,replica=0";
         fo_opt.auto_respawn = false;
         ServeRouter fo(dir.path, fo_opt);
         Stopwatch w;
         const ServeResult got_f = fo.KNearest(queries[0], k);
         failover_query_ms = w.Seconds() * 1e3;
         failover_exact = !got_f.partial && got_f.failovers == 1 &&
-                         Identical(got_f, want[0], want_stats[0]);
+                         Identical(got_f, want[0]);
         ++checked;
         log << "  S=4 R=2 failover query: " << failover_query_ms
             << " ms, exact+unflagged: " << (failover_exact ? "yes" : "NO")
@@ -251,19 +263,15 @@ int Run() {
       }
 
       // Hedged vs unhedged unresponsive-primary tail: shard 3's primary
-      // swallows every 20th Eval (the standby is healthy). Unhedged, each
-      // lost reply costs a full op timeout plus the retry; hedged, the
-      // router races the standby after 5ms and takes its identical
-      // answer. (A *delay* fault would not show the win: the worker is
-      // single-threaded, so a sleeping primary stalls the next Step
-      // broadcast by the same amount whether or not the Eval was hedged.
-      // Hedging pays for lost or stalled replies, not for a uniformly
-      // slow replica.)
+      // swallows every second request (the standby is healthy).
+      // Unhedged, each lost request costs a full op timeout plus the
+      // retry; hedged, the router races the whole request on the standby
+      // after the hedge trigger and takes its identical answer.
       {
         const std::size_t hedge_queries =
-            std::min<std::size_t>(4, queries.size());
+            std::min<std::size_t>(8, queries.size());
         ServeOptions slow_eval = rep_opt;
-        slow_eval.fault_spec = "drop:shard=3,op=eval,replica=0,every=20";
+        slow_eval.fault_spec = "drop:shard=3,op=query,replica=0,every=2";
         slow_eval.op_timeout_ms = 60;
 
         slow_eval.hedge_delay_ms = -1;  // hedging off
@@ -274,7 +282,7 @@ int Run() {
             Stopwatch w;
             const ServeResult got_u = unhedged.KNearest(queries[i], k);
             s_samples.push_back(w.Seconds() * 1e3);
-            identical = identical && Identical(got_u, want[i], want_stats[i]);
+            identical = identical && Identical(got_u, want[i]);
             ++checked;
           }
           unhedged_slow_p99 = Percentile(s_samples, 0.99);
@@ -288,7 +296,7 @@ int Run() {
             Stopwatch w;
             const ServeResult got_h = hedged.KNearest(queries[i], k);
             s_samples.push_back(w.Seconds() * 1e3);
-            identical = identical && Identical(got_h, want[i], want_stats[i]);
+            identical = identical && Identical(got_h, want[i]);
             hedged_evals += got_h.hedged_evals;
             ++checked;
           }

@@ -21,7 +21,8 @@
 //   * u8_speedup_ok — the quantized u8 dense row update streams rows at
 //     >= 1.5x the f64 per-candidate throughput on the best kernel (the
 //     memory-bandwidth payoff of 1-byte table elements; measured over a
-//     row set deliberately sized beyond cache, unscaled by CNED_SCALE);
+//     row set deliberately sized beyond cache, unscaled by CNED_SCALE, as
+//     the median ratio of interleaved f64/u8 pass pairs);
 //   * quantized_exact — every quantized precision returns the same nearest
 //     DISTANCES as the f64 index on the fig3 workload (admissible
 //     round-down never loses the true neighbour on a metric distance).
@@ -33,6 +34,7 @@
 // Human-readable progress goes to stderr; a single JSON object goes to
 // stdout.
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -133,54 +135,94 @@ struct QuantMicro {
   double dense_ns = 0.0;
 };
 
+/// One precision's copy of the shared f64 row set (f64 passes through),
+/// ready to stream through any kernel's dense update.
+class QuantRows {
+ public:
+  QuantRows(TablePrecision prec, const std::vector<double>& rows,
+            std::size_t n_rows, std::size_t n)
+      : n_rows_(n_rows), n_(n) {
+    view_.precision = prec;
+    if (prec == TablePrecision::kF64) {
+      view_.f64 = rows.data();
+      return;
+    }
+    const std::size_t width = TablePrecisionBytes(prec);
+    codes_.resize(n_rows * n * width);
+    meta_.resize(n_rows);
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      QuantRowEncoder enc;
+      enc.Scan(rows.data() + r * n, n);
+      enc.Prepare(prec);
+      enc.Encode(rows.data() + r * n, n, codes_.data() + r * n * width);
+      meta_[r] = enc.Finish();
+    }
+    view_.q = codes_.data();
+    view_.rows = meta_.data();
+  }
+
+  /// Streams every row once over `lower` (n entries); returns ns per
+  /// candidate. The update is a max, so repeated passes are idempotent on
+  /// the slab while still reading every element.
+  double PassNs(const SweepKernels& k, double* lower) const {
+    Stopwatch watch;
+    for (std::size_t r = 0; r < n_rows_; ++r) {
+      QuantUpdateLowerDense(k, view_, r, n_, 1.0 + 1e-3 * r, lower);
+    }
+    return watch.Seconds() * 1e9 /
+           (static_cast<double>(n_rows_) * static_cast<double>(n_));
+  }
+
+ private:
+  std::size_t n_rows_;
+  std::size_t n_;
+  QuantTableView view_;
+  std::vector<unsigned char> codes_;
+  std::vector<QuantRowMeta> meta_;
+};
+
 QuantMicro TimeQuantDense(const SweepKernels& k, TablePrecision prec,
                           const std::vector<double>& rows, std::size_t n_rows,
                           std::size_t n, std::size_t reps) {
   QuantMicro out;
   out.kernel = k.name;
   out.precision = TablePrecisionName(prec);
-
-  // Quantize every row off the shared f64 source (f64 passes through).
-  std::vector<unsigned char> codes;
-  std::vector<QuantRowMeta> meta;
-  QuantTableView view;
-  view.precision = prec;
-  if (prec == TablePrecision::kF64) {
-    view.f64 = rows.data();
-  } else {
-    const std::size_t width = TablePrecisionBytes(prec);
-    codes.resize(n_rows * n * width);
-    meta.resize(n_rows);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      QuantRowEncoder enc;
-      enc.Scan(rows.data() + r * n, n);
-      enc.Prepare(prec);
-      enc.Encode(rows.data() + r * n, n, codes.data() + r * n * width);
-      meta[r] = enc.Finish();
-    }
-    view.q = codes.data();
-    view.rows = meta.data();
-  }
-
+  const QuantRows q(prec, rows, n_rows, n);
   AlignedBuffer<double> lower;
   lower.resize(n);
   for (std::size_t i = 0; i < n; ++i) lower.data()[i] = 0.0;
-
-  // Warm-up pass, then steady state (the update is a max, so repeated
-  // passes are idempotent on the slab while still reading every element).
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    QuantUpdateLowerDense(k, view, r, n, 1.0 + 1e-3 * r, lower.data());
-  }
-  Stopwatch watch;
+  q.PassNs(k, lower.data());  // warm-up
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      QuantUpdateLowerDense(k, view, r, n, 1.0 + 1e-3 * r, lower.data());
-    }
+    out.dense_ns += q.PassNs(k, lower.data()) / static_cast<double>(reps);
   }
-  out.dense_ns = watch.Seconds() * 1e9 /
-                 (static_cast<double>(reps) * static_cast<double>(n_rows) *
-                  static_cast<double>(n));
   return out;
+}
+
+/// Interleaved f64/u8 pass pairs behind the u8 speedup gate. Odd, so the
+/// median is one measured pair.
+constexpr std::size_t kQPairs = 15;
+
+/// The u8-vs-f64 streaming ratio on kernel `k`, measured as interleaved
+/// pairs (f64 pass, u8 pass, f64 pass, ...) so a slow stretch of the
+/// machine hits both sides of a pair alike; returns the median of the
+/// per-pair f64/u8 ratios.
+double U8SpeedupMedian(const SweepKernels& k, const std::vector<double>& rows,
+                       std::size_t n_rows, std::size_t n) {
+  const QuantRows f64(TablePrecision::kF64, rows, n_rows, n);
+  const QuantRows u8(TablePrecision::kU8, rows, n_rows, n);
+  AlignedBuffer<double> lower;
+  lower.resize(n);
+  for (std::size_t i = 0; i < n; ++i) lower.data()[i] = 0.0;
+  f64.PassNs(k, lower.data());  // warm-up, both sides
+  u8.PassNs(k, lower.data());
+  std::vector<double> ratios;
+  for (std::size_t p = 0; p < kQPairs; ++p) {
+    const double f64_ns = f64.PassNs(k, lower.data());
+    const double u8_ns = u8.PassNs(k, lower.data());
+    ratios.push_back(u8_ns > 0.0 ? f64_ns / u8_ns : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[kQPairs / 2];
 }
 
 struct Fig3Run {
@@ -312,23 +354,23 @@ int Run() {
     for (double& v : q_source) v = qrng.Uniform() * 4.0;
   }
   std::vector<QuantMicro> quant_micro;
-  double u8_speedup = 0.0;
   for (const SweepKernels* k : AvailableSweepKernels()) {
-    double f64_ns = 0.0, u8_ns = 0.0;
     for (TablePrecision prec : kAllPrecisions) {
       quant_micro.push_back(
           TimeQuantDense(*k, prec, q_source, q_rows, q_cand, q_reps));
       const QuantMicro& qm = quant_micro.back();
       log << "  " << qm.kernel << "/" << qm.precision << ": dense "
           << qm.dense_ns << " ns/cand\n";
-      if (prec == TablePrecision::kF64) f64_ns = qm.dense_ns;
-      if (prec == TablePrecision::kU8) u8_ns = qm.dense_ns;
     }
-    // The gate tracks the best (last-listed) kernel — the one serving uses.
-    u8_speedup = u8_ns > 0.0 ? f64_ns / u8_ns : 0.0;
   }
+  // The gate tracks the best (last-listed) kernel — the one serving uses —
+  // over interleaved f64/u8 pairs, not the back-to-back per-precision
+  // timings above.
+  const double u8_speedup = U8SpeedupMedian(*AvailableSweepKernels().back(),
+                                            q_source, q_rows, q_cand);
   const bool u8_speedup_ok = micro.size() == 1 || u8_speedup >= 1.5;
-  log << "  u8 dense speedup vs f64 (best kernel): " << u8_speedup << "x\n";
+  log << "  u8 dense speedup vs f64 (best kernel, median of " << kQPairs
+      << " interleaved pairs): " << u8_speedup << "x\n";
 
   // --- 2. fig3 dictionary workload ---------------------------------------
   Dataset dict = bench::MakeDictionary(pool, Config::Seed());

@@ -257,35 +257,48 @@ std::vector<NeighborResult> Laesa::SweepWithRow(std::string_view query,
   }
   const SweepCompactResult seed = kern.compact_seed(
       lower, pivot_rank_.data(), n, 0, kth(), idx, lower);
-  std::size_t live = seed.live;
-  std::size_t s = seed.next;
-
   std::uint64_t computations = 0, abandons = 0;
-
-  // Adaptive non-pivot phase, identical in structure to `Sweep`'s loop with
-  // no table row left to apply: visit the minimal-lower-bound survivor,
-  // then one eliminate-and-compact pass against the improved incumbent
-  // picks the next visit.
-  while (live > 0 && s != kSweepNone) {
-    const double cap = kth();
-    const double d = distance_->DistanceBounded(query, protos[s], cap);
-    ++computations;
-    if (d >= cap) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s, d});
-    }
-    const SweepCompactResult pass = kern.eliminate_and_compact(
-        idx, lower, live, static_cast<std::uint32_t>(s), kth());
-    live = pass.live;
-    s = pass.next;
-  }
+  RowSweepAdaptive(query, *distance_, protos, /*base=*/0, idx, lower, seed, k,
+                   inf, best, &computations, &abandons);
 
   if (stats != nullptr) {
     stats->distance_computations += computations;
     stats->bounded_abandons += abandons;
   }
   return best;
+}
+
+// The adaptive non-pivot phase, identical in structure to `Sweep`'s loop
+// with no table row left to apply. Under cap = +inf the bound is exactly
+// the k-th incumbent, so `Laesa::SweepWithRow` keeps its trajectory.
+void RowSweepAdaptive(std::string_view query, const StringDistance& distance,
+                      const PrototypeStore& protos, std::size_t base,
+                      std::uint32_t* idx, double* lower,
+                      const SweepCompactResult& seed, std::size_t k,
+                      double cap, std::vector<NeighborResult>& best,
+                      std::uint64_t* computations, std::uint64_t* abandons) {
+  const SweepKernels& kern = ActiveSweepKernels();
+  auto bound = [&]() {
+    return best.size() < k || cap < best.back().distance
+               ? cap
+               : best.back().distance;
+  };
+  std::size_t live = seed.live;
+  std::size_t s = seed.next;
+  while (live > 0 && s != kSweepNone) {
+    const double c = bound();
+    const double d = distance.DistanceBounded(query, protos[s - base], c);
+    ++*computations;
+    if (d >= c) {
+      ++*abandons;
+    } else {
+      InsertNeighborTopK(best, k, {s, d});
+    }
+    const SweepCompactResult pass = kern.eliminate_and_compact(
+        idx, lower, live, static_cast<std::uint32_t>(s), bound());
+    live = pass.live;
+    s = pass.next;
+  }
 }
 
 void Laesa::ComputePivotRow(std::string_view query, double* row,

@@ -244,6 +244,22 @@ class Laesa final : public NearestNeighborSearcher, public PivotStageSearcher {
   std::uint64_t preprocessing_computations_ = 0;
 };
 
+/// The adaptive phase of the row-consuming sweep, shared by
+/// `Laesa::SweepWithRow` and the serving workers (serve/replica.h): visit
+/// the minimal-lower-bound survivor, evaluate it bounded by
+/// min(`cap`, the k-th of `best`), then one eliminate-and-compact pass
+/// against that bound picks the next visit. `idx`/`lower` hold the `seed`
+/// pass's packed survivors (ids are `base` + slot of `protos`); visits
+/// that beat the bound enter `best` (strict, NeighborLess order, at most
+/// k). A `cap` of +inf is the plain sweep. Adds to `computations` and
+/// `abandons`.
+void RowSweepAdaptive(std::string_view query, const StringDistance& distance,
+                      const PrototypeStore& protos, std::size_t base,
+                      std::uint32_t* idx, double* lower,
+                      const SweepCompactResult& seed, std::size_t k,
+                      double cap, std::vector<NeighborResult>& best,
+                      std::uint64_t* computations, std::uint64_t* abandons);
+
 }  // namespace cned
 
 #endif  // CNED_SEARCH_LAESA_H_

@@ -65,7 +65,7 @@ struct QueryStats {
   /// Shards the distributed serving tier dropped from this query (crashed,
   /// timed out, or returned a malformed reply — see src/serve/router.h).
   /// Always 0 for in-process searchers and for healthy distributed queries,
-  /// so it rides along in the flat-vs-distributed bit-identity comparisons.
+  /// so it rides along in the served-vs-reference stats comparisons.
   std::uint64_t shards_degraded = 0;
 
   /// Merge counters from another query (batch aggregation).

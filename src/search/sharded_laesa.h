@@ -145,8 +145,8 @@ class ShardedLaesa final : public NearestNeighborSearcher,
   /// shape (total size, shard count, shard id, base) for a worker process
   /// to validate it belongs to the deployment it joined. A distributed
   /// shard worker maps this file plus the matching
-  /// `store().shard(s).SaveBinary` store file and serves its segment of
-  /// the sweep without ever touching the other shards' bytes
+  /// `store().shard(s).SaveBinary` store file and answers shard queries
+  /// over its segment without ever touching the other shards' bytes
   /// (src/serve/replica.h).
   void SaveShard(std::size_t s, const std::string& path) const;
 

@@ -1,8 +1,5 @@
 #include "serve/engine.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <stdexcept>
 #include <unordered_map>
@@ -21,66 +18,6 @@ ServeResult ShedResult() {
 
 }  // namespace
 
-/// The driver side of the admission queue. `Next` claims queued entries
-/// in admission batches (one blocked pivot pass per claim) and hands them
-/// to `DriveSweeps` one at a time; `Deliver` posts the result back to the
-/// caller parked in KNearest. The entry pointer itself travels as the
-/// job tag — entries are pinned to their caller's stack until done.
-class ServeEngine::Feed : public SweepFeed {
- public:
-  explicit Feed(ServeEngine& engine) : e_(engine) {}
-
-  bool Next(SweepJob* out) override {
-    if (stash_.empty()) {
-      std::vector<Pending*> batch;
-      {
-        std::lock_guard<std::mutex> lock(e_.mu_);
-        while (!e_.queue_.empty() && batch.size() < e_.options_.max_batch) {
-          Pending* p = e_.queue_.front();
-          e_.queue_.pop_front();
-          p->claimed = true;
-          batch.push_back(p);
-        }
-      }
-      if (batch.empty()) return false;
-      // Rows are computed here, off the admission lock, while the claimed
-      // entries are exclusively ours — and while any already-admitted
-      // sweeps' replies simply buffer in their sockets; the workers keep
-      // computing concurrently.
-      e_.ComputeRows(batch);
-      e_.batches_.fetch_add(1, std::memory_order_relaxed);
-      e_.batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-      stash_.assign(batch.begin(), batch.end());
-    }
-    Pending* p = stash_.front();
-    stash_.pop_front();
-    out->query = p->query;
-    out->k = p->k;
-    out->row = p->row.data();
-    out->tag = reinterpret_cast<std::uintptr_t>(p);
-    return true;
-  }
-
-  bool Finished() override {
-    return e_.stop_.load(std::memory_order_acquire);
-  }
-
-  void Deliver(std::uint64_t tag, ServeResult res, bool bailed) override {
-    Pending* p = reinterpret_cast<Pending*>(static_cast<std::uintptr_t>(tag));
-    std::lock_guard<std::mutex> lock(e_.mu_);
-    p->result = std::move(res);
-    p->bailed = bailed;
-    p->done = true;
-    p->cv.notify_one();  // precise: only the caller whose result this is
-  }
-
-  int wake_fd() override { return e_.wake_r_; }
-
- private:
-  ServeEngine& e_;
-  std::deque<Pending*> stash_;
-};
-
 ServeEngine::ServeEngine(ServeRouter& router, const ServeEngineOptions& options)
     : router_(router), options_(options) {
   if (options.max_batch < 1) {
@@ -97,29 +34,47 @@ ServeEngine::ServeEngine(ServeRouter& router, const ServeEngineOptions& options)
     throw std::invalid_argument(
         "ServeEngineOptions::admission_timeout_ms must be >= 1");
   }
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    throw std::runtime_error("ServeEngine: pipe() failed");
-  }
-  wake_r_ = fds[0];
-  wake_w_ = fds[1];
-  ::fcntl(wake_r_, F_SETFL, O_NONBLOCK);
-  ::fcntl(wake_w_, F_SETFL, O_NONBLOCK);
   driver_ = std::thread(&ServeEngine::DriverMain, this);
 }
 
 ServeEngine::~ServeEngine() {
-  stop_.store(true, std::memory_order_release);
-  const char b = 0;
-  (void)!::write(wake_w_, &b, 1);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  claim_cv_.notify_one();
   if (driver_.joinable()) driver_.join();
-  ::close(wake_r_);
-  ::close(wake_w_);
 }
 
 void ServeEngine::DriverMain() {
-  Feed feed(*this);
-  router_.DriveSweeps(feed, options_.max_inflight);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    claim_cv_.wait(lock, [this] {
+      return stop_ ||
+             (!queue_.empty() && inflight_ < options_.max_inflight);
+    });
+    if (stop_) return;
+    std::vector<Pending*> batch;
+    while (!queue_.empty() && batch.size() < options_.max_batch &&
+           inflight_ < options_.max_inflight) {
+      Pending* p = queue_.front();
+      queue_.pop_front();
+      p->claimed = true;
+      ++inflight_;
+      batch.push_back(p);
+    }
+    // Rows are computed off the admission lock, while the claimed entries
+    // are exclusively ours.
+    lock.unlock();
+    ComputeRows(batch);
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
+    lock.lock();
+    for (Pending* p : batch) {
+      p->ready = true;
+      p->cv.notify_one();  // precise: only the caller whose row this is
+    }
+  }
 }
 
 void ServeEngine::ComputeRows(const std::vector<Pending*>& batch) {
@@ -171,42 +126,38 @@ ServeResult ServeEngine::KNearest(std::string_view query, std::size_t k) {
     return ShedResult();
   }
   queue_.push_back(&entry);
-  // Nudge the driver's park. EAGAIN on a full pipe is fine — unread
-  // bytes already make the fd readable.
-  const char b = 0;
-  (void)!::write(wake_w_, &b, 1);
+  claim_cv_.notify_one();
 
-  while (!entry.done) {
-    if (entry.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !entry.done) {
-      if (entry.claimed) {
-        // The driver holds the pointer and will deliver the result;
-        // shedding now would dangle it. The wait is bounded by the
-        // router's own query deadline.
-        entry.cv.wait(lock, [&] { return entry.done; });
+  if (!entry.cv.wait_until(lock, deadline, [&] { return entry.claimed; })) {
+    // Overload answer #2: the admission deadline expired while still
+    // unclaimed — withdraw and refuse.
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (*it == &entry) {
+        queue_.erase(it);
         break;
       }
-      // Overload answer #2: the admission deadline expired while still
-      // unclaimed — withdraw and refuse.
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (*it == &entry) {
-          queue_.erase(it);
-          break;
-        }
-      }
-      shed_queries_.fetch_add(1, std::memory_order_relaxed);
-      return ShedResult();
     }
+    shed_queries_.fetch_add(1, std::memory_order_relaxed);
+    return ShedResult();
   }
-  if (entry.bailed) {
-    // The world was not fast-path eligible (or the sweep hit an anomaly):
-    // rerun robustly on this thread, reusing the computed pivot row.
-    // Robust queries from concurrent callers proceed concurrently, with
-    // all the retry/failover/hedging machinery.
-    lock.unlock();
-    return router_.KNearestWithRow(entry.query, entry.k, entry.row);
-  }
-  return std::move(entry.result);
+  // Claimed: the admission thread holds the pointer until the row is
+  // ready.
+  entry.cv.wait(lock, [&] { return entry.ready; });
+  lock.unlock();
+
+  // The read runs on this thread; the in-flight slot is released however
+  // it ends.
+  struct Release {
+    ServeEngine* e;
+    ~Release() {
+      {
+        std::lock_guard<std::mutex> l(e->mu_);
+        --e->inflight_;
+      }
+      e->claim_cv_.notify_one();
+    }
+  } release{this};
+  return router_.KNearestWithRow(entry.query, entry.k, entry.row);
 }
 
 }  // namespace cned

@@ -20,60 +20,45 @@ namespace cned {
 struct ServeEngineOptions {
   /// Queries claimed per admission pass. The driver pulls up to this many
   /// queued queries at once and computes all their pivot rows in one
-  /// blocked, deduplicated pass before their sweeps start. Must be >= 1.
+  /// blocked, deduplicated pass before their reads start. Must be >= 1.
   std::size_t max_batch = 8;
-  /// Sweeps the driver keeps in flight at once — passed to
-  /// `ServeRouter::DriveSweeps` as its wave cap, bounding the per-worker
-  /// sweep-slot pressure. Must be >= 1.
+  /// Claimed queries not yet answered: the admission thread claims from
+  /// the queue only while fewer than this many are in flight, bounding the
+  /// load the engine puts on the workers. Must be >= 1.
   std::size_t max_inflight = 16;
   /// Admission-queue capacity. A query arriving when this many are
   /// already queued is shed immediately — the overload answer is a fast
   /// refusal, not an unbounded queue. Must be >= 1.
   std::size_t max_queue = 256;
   /// Per-query admission deadline: the longest a query may wait *to be
-  /// claimed by the driver*. Once claimed it always completes — the sweep
+  /// claimed by the admission thread*. Once claimed it always completes —
+  /// the read
   /// itself is bounded by the router's own query deadline, not this one.
   /// Must be >= 1. (A healthy engine never comes near it.)
   int admission_timeout_ms = 1000;
 };
 
 /// The admission front end of the concurrent serving tier: a thread-safe
-/// facade over `ServeRouter` that multiplexes concurrent callers' sweeps
-/// through one persistent driver thread and sheds load under overload
-/// instead of collapsing.
+/// facade over `ServeRouter` that batches concurrent callers' pivot stages
+/// through one admission thread and sheds load under overload instead of
+/// collapsing.
 ///
-/// Mechanism — a persistent driver with continuous admission:
-///   1. every caller enqueues its query, nudges the driver's wake pipe,
-///      and parks;
-///   2. the driver thread runs `ServeRouter::DriveSweeps` forever, pulling
-///      queries through a `SweepFeed`: each claim takes up to `max_batch`
-///      queued entries and runs one blocked query x pivot pass for all of
-///      them — pivots iterate in the outer loop so each pivot string
-///      streams once per claim while hot in cache, and duplicate query
-///      strings are computed once — then feeds the sweeps to the driver
-///      one at a time, which admits them *into the running wave as
-///      earlier sweeps settle*. Rounds stay full from admission to drain:
-///      there is no batch boundary to empty them at, and no linger delay
-///      to fill them;
-///   3. results come back through the feed; each caller wakes once, when
-///      its own result lands.
-/// Callers thus park exactly once per query, and all sweep traffic costs
-/// one thread's worth of context switches — on a single core this, not
-/// parallel compute, is where the concurrent speedup comes from.
+/// Mechanism:
+///   1. every caller enqueues its query and parks;
+///   2. the admission thread claims up to `max_batch` queued entries (while
+///      fewer than `max_inflight` claimed queries are unanswered) and runs
+///      one blocked query x pivot pass for all of them — pivots iterate in
+///      the outer loop so each pivot string streams once per claim while
+///      hot in cache, and duplicate query strings are computed once;
+///   3. each caller wakes once its row is ready and runs
+///      `ServeRouter::KNearestWithRow` on its own thread — the router's
+///      one read path, with its retries, failover, hedging and partial
+///      flagging.
 ///
-/// Exactness: the driver replays the single-query exchange bit-exactly
-/// per sweep and charges the row evaluations to each query's stats
-/// exactly as `KNearestBatch` does; row entries are independent per
-/// (query, pivot) pair — so every non-shed result is bit-identical
-/// (neighbours, distances AND stats) to calling
-/// `ServeRouter::KNearestBatch` with the same query, regardless of how
+/// Exactness: row entries are independent per (query, pivot) pair and the
+/// router charges them to each query's stats, so every non-shed result
+/// equals `ServeRouter::KNearest` of the same query, regardless of how
 /// claims formed or rows were deduplicated.
-///
-/// Degraded worlds: when the router's fast gate fails (a dead replica, a
-/// tombstone, delta entries), the driver hands queries straight back and
-/// each caller reruns its own robustly on its own thread, reusing the
-/// already-computed pivot row — robust queries keep their pre-existing
-/// concurrency instead of serializing through the driver.
 ///
 /// Overload: a query is shed — returned immediately with
 /// `ServeResult::shed` set and nothing else — when the admission queue is
@@ -108,8 +93,8 @@ class ServeEngine {
   std::uint64_t shed_queries() const { return shed_queries_.load(); }
 
  private:
-  /// One queued query: its string, its k, and its result once the driver
-  /// delivered it. Lives on the caller's stack — the queue holds
+  /// One queued query: its string, its k, and its pivot row once the
+  /// admission thread computed it. Lives on the caller's stack — the queue holds
   /// pointers, and an entry leaves the queue either by being claimed by
   /// the driver (`claimed`) or by its caller shedding it on deadline,
   /// never both.
@@ -117,34 +102,28 @@ class ServeEngine {
     std::string query;
     std::size_t k = 0;
     std::vector<double> row;
-    ServeResult result;
-    bool claimed = false;  // the driver owns it; the caller must wait
-    bool done = false;     // result delivered; caller may act on it
-    bool bailed = false;   // fast path declined; caller reruns robustly
-    /// Precise wakeup (mirrors the reactor's per-waiter cvs): the driver
-    /// notifies exactly the caller whose result landed — a shared cv
-    /// would wake every parked caller per delivery, ~2N context switches
-    /// a round on one core.
+    bool claimed = false;  // claimed: the caller must wait for its row
+    bool ready = false;    // row computed; the caller runs its read
+    /// Precise wakeup: exactly the caller whose row landed is notified,
+    /// not every parked caller.
     std::condition_variable cv;
   };
 
-  /// The driver's pull/deliver seam (defined in engine.cc).
-  class Feed;
-
-  /// Body of the driver thread: runs DriveSweeps until stop_.
+  /// Body of the admission thread: claims and computes rows until stop_.
   void DriverMain();
 
   /// Runs one blocked, deduplicated pivot pass over `batch` (entries are
-  /// claimed, so only the driver touches them).
+  /// claimed, so only the admission thread touches them).
   void ComputeRows(const std::vector<Pending*>& batch);
 
   ServeRouter& router_;
   const ServeEngineOptions options_;
 
-  std::mutex mu_;
+  std::mutex mu_;  // queue_, inflight_, stop_, every Pending's flags
+  std::condition_variable claim_cv_;
   std::deque<Pending*> queue_;
-  std::atomic<bool> stop_{false};
-  int wake_r_ = -1, wake_w_ = -1;  // non-blocking self-pipe: enqueue -> driver
+  std::size_t inflight_ = 0;  // claimed and not yet answered
+  bool stop_ = false;
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_queries_{0};

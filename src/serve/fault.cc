@@ -38,6 +38,13 @@ std::uint64_t ParseU64(const std::string& text, const std::string& what) {
 
 }  // namespace
 
+const char* FaultOpClass(FrameType type) {
+  for (const FaultOp& op : kFaultOps) {
+    if (op.type == type) return op.name;
+  }
+  return "other";
+}
+
 FaultSpec FaultSpec::Parse(const std::string& text) {
   FaultSpec spec;
   if (text.empty()) return spec;
@@ -75,10 +82,15 @@ FaultSpec FaultSpec::Parse(const std::string& text) {
         } else if (key == "replica") {
           d.replica = static_cast<std::int64_t>(ParseU64(val, key));
         } else if (key == "op") {
-          if (val != "ping" && val != "begin" && val != "eval" &&
-              val != "step") {
+          bool known = false;
+          std::string want;
+          for (const FaultOp& op : kFaultOps) {
+            known = known || val == op.name;
+            want += want.empty() ? op.name : std::string("|") + op.name;
+          }
+          if (!known) {
             throw std::invalid_argument("CNED_FAULT: unknown op '" + val +
-                                        "' (want ping|begin|eval|step)");
+                                        "' (want " + want + ")");
           }
           d.op = val;
         } else if (key == "nth") {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/frame.h"
+
 namespace cned {
 
 /// Deterministic fault injection for the shard workers, driven by the
@@ -12,7 +14,7 @@ namespace cned {
 ///
 /// Grammar — directives joined by '|', each `kind:key=val,key=val,...`:
 ///
-///   CNED_FAULT='crash:shard=1,op=step,nth=3|delay:op=eval,every=2,ms=50'
+///   CNED_FAULT='crash:shard=1,op=query,nth=3|delay:op=query,every=2,ms=50'
 ///
 /// kinds:
 ///   delay    sleep `ms` milliseconds before handling the request
@@ -20,17 +22,18 @@ namespace cned {
 ///   crash    _exit the worker process immediately (a kill -9 equivalent)
 ///   corrupt  reply with a deliberately wrong frame CRC
 ///   mangle   flip a byte of the reply payload but keep the CRC valid —
-///            the frame decodes cleanly and the router's replica
-///            agreement check is what must catch it
+///            the frame decodes cleanly and the router's sampled replica
+///            audit (or its reply validation) is what must catch it
 /// keys:
 ///   shard=S    only fire in shard S (default: any shard)
 ///   replica=R  only fire in replica ordinal R of its group (default: any
-///              replica — note a directive without this key fires on
-///              *every* member of a replica group, since state-machine
-///              replication feeds all members the same request sequence)
-///   op=NAME    only fire on requests of this class: ping, begin (both
-///              BeginLazy and BeginRow), eval, step (both Step and
-///              StepRow) (default: any request)
+///              replica — a directive without this key fires on *every*
+///              member of a replica group, each counting the requests it
+///              receives itself)
+///   op=NAME    only fire on requests of this class (kFaultOps): ping,
+///              query (the shard query), insert, remove (default: any
+///              request). Any other name — including the retired begin,
+///              eval and step — is rejected.
 ///   nth=K      fire exactly once, on the K-th matching request (1-based)
 ///   every=K    fire on every K-th matching request
 ///   ms=T       delay duration (delay only; default 0)
@@ -40,6 +43,24 @@ namespace cned {
 /// identical faults, which is what makes the degraded-mode determinism
 /// tests possible. A directive with neither nth nor every fires on every
 /// match.
+/// The request classes a directive's `op=` may name, one per request type
+/// the worker serves. The worker classifies every request through this
+/// same table (FaultOpClass), so the grammar cannot drift from what fires.
+struct FaultOp {
+  FrameType type;
+  const char* name;
+};
+inline constexpr FaultOp kFaultOps[] = {
+    {FrameType::kPing, "ping"},
+    {FrameType::kBeginRow, "query"},
+    {FrameType::kInsert, "insert"},
+    {FrameType::kRemove, "remove"},
+};
+
+/// The class name of a request type (kFaultOps), or "other" for a type no
+/// directive can select by op (shutdown).
+const char* FaultOpClass(FrameType type);
+
 struct FaultDirective {
   enum class Kind { kDelay, kDrop, kCrash, kCorrupt, kMangle };
   Kind kind = Kind::kDelay;
@@ -81,8 +102,7 @@ class FaultInjector {
         counts_(spec_.directives.size(), 0) {}
 
   /// Advances every matching directive's counter and merges the actions
-  /// that fire. `op` is the request class name ("ping", "begin", "eval",
-  /// "step").
+  /// that fire. `op` is the request class name (FaultOpClass).
   Action OnRequest(const std::string& op);
 
  private:

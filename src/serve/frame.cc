@@ -137,7 +137,7 @@ RecvStatus RecvFrame(int fd, Frame* out, int timeout_ms) {
   std::memcpy(&seq, header + 8, 4);
   std::memcpy(&qid, header + 12, 4);
   std::memcpy(&crc, header + 16, 4);
-  if (len > kMaxFramePayload || type == 0 || type > kMaxFrameType) {
+  if (len > kMaxFramePayload || !KnownFrameType(type)) {
     return RecvStatus::kMalformed;
   }
   out->type = type;
@@ -176,7 +176,7 @@ FrameBuffer::Next FrameBuffer::Pop(Frame* out) {
   std::memcpy(&seq, header + 8, 4);
   std::memcpy(&qid, header + 12, 4);
   std::memcpy(&crc, header + 16, 4);
-  if (len > kMaxFramePayload || type == 0 || type > kMaxFrameType) {
+  if (len > kMaxFramePayload || !KnownFrameType(type)) {
     poisoned_ = true;
     return Next::kMalformed;
   }

@@ -23,20 +23,19 @@ namespace cned {
 /// snapshot format: router and workers share one machine or one
 /// architecture.
 ///
-/// The query id multiplexes a connection between concurrent sweeps: every
-/// in-flight query owns a router-assigned nonzero id, workers key their
-/// per-sweep slab state on it, and replies echo it alongside the sequence
-/// number. Id 0 is the control plane (ping, shutdown, mutations, scans —
-/// anything that is not per-sweep state). A reply whose sequence or query
-/// id matches no waiting exchange is discarded exactly like a stale
-/// sequence number from a timed-out attempt.
+/// The query id tags a connection's frames with the query they belong to:
+/// every in-flight query owns a router-assigned nonzero id, and replies
+/// echo it alongside the sequence number. Id 0 is the control plane (ping,
+/// shutdown, mutations). A reply whose sequence or query id matches no
+/// waiting exchange is discarded exactly like a stale sequence number from
+/// a timed-out attempt.
 ///
 /// The failure contract the router builds on:
 ///   * `RecvFrame` is deadline-bounded (poll + monotonic clock), so a
 ///     stalled worker surfaces as kTimeout, never a hang;
 ///   * a closed/reset socket surfaces as kClosed;
-///   * a frame whose CRC does not match its payload, whose type is
-///     outside the known range, or whose length field exceeds
+///   * a frame whose CRC does not match its payload, whose type is not a
+///     known FrameType (KnownFrameType), or whose length field exceeds
 ///     kMaxFramePayload surfaces as kMalformed — the router treats all
 ///     three as a dead shard (no attempt to resynchronise a corrupt
 ///     byte stream is ever made).
@@ -54,37 +53,34 @@ inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 
 /// Message types. Requests flow router -> worker; every request gets
 /// exactly one reply frame (kReply or kError) echoing its sequence
-/// number, unless a fault drops it. The single exception is kEndSweep,
-/// which is fire-and-forget: it retires per-query worker state after the
-/// router has already merged the sweep, so a reply would only add a
-/// round trip with nothing to gate on.
+/// number, unless a fault drops it. Values are wire-stable: retired types
+/// (2, 4, 5, 6, 12, 13 — the per-candidate lock-step protocol) stay
+/// unassigned, and a frame carrying one is malformed.
 enum class FrameType : std::uint32_t {
-  kPing = 1,       ///< health check; reply: u64 shard id, u64 replica id
-  kBeginLazy = 2,  ///< start a lazy sweep: str query
-  kBeginRow = 3,   ///< start a row sweep: str query, f64 seed_bound, row
-  kEval = 4,       ///< evaluate: u64 global id, f64 cap -> f64 distance
-  kStep = 5,       ///< lazy visit pass: skip/rank/d/slack/bound -> compact
-  kStepRow = 6,    ///< row visit pass: skip/bound -> compact
-  kShutdown = 7,   ///< clean worker exit; empty reply, then close
-  kReply = 8,      ///< successful response (payload per request type)
-  kError = 9,      ///< worker-side exception; payload: str message
+  kPing = 1,      ///< health check; reply: u64 shard id, u64 replica id
+  /// The shard query (the enumerator keeps its historical name): str
+  /// query, u64 k, f64 cap, u64 np, f64 row[np] -> u64 hits,
+  /// hits x (u64 global id, f64 d), u64 computations, u64 abandons.
+  /// Stateless and idempotent (serve/replica.h `ShardReplica::Query`).
+  kBeginRow = 3,
+  kShutdown = 7,  ///< clean worker exit; empty reply, then close
+  kReply = 8,     ///< successful response (payload per request type)
+  kError = 9,     ///< worker-side exception; payload: str message
   // --- Live-mutability ops (the mutable tier, search/mutable_laesa.h). ---
-  // Replicated to every member of the owning shard's group like begins and
-  // steps; replies are dedup-stable (re-delivery after a lost reply gives
-  // the same bytes), so the ops are retryable and byte-agreement across
-  // the group keeps working.
-  kInsert = 10,     ///< append to the shard delta: u64 id, str s -> u64 count
-  kRemove = 11,     ///< tombstone an id: u64 id -> u64 total dead
-  kDeltaScan = 12,  ///< bounded live-delta scan: str query, f64 cap, u64 k
-                    ///< -> u64 hits, hits x (u64 id, f64 d), u64 comps,
-                    ///< u64 abandons
-  kEndSweep = 13,   ///< retire the sweep slot for this frame's query id;
-                    ///< empty payload, NO reply (fire-and-forget), and
-                    ///< exempt from fault injection (it is router-side
-                    ///< cleanup, not a replicated state-machine op)
+  // Replicated to every member of the owning shard's group; replies are
+  // dedup-stable (re-delivery after a lost reply gives the same bytes), so
+  // the ops are retryable and byte-agreement across the group holds.
+  kInsert = 10,  ///< append to the shard delta: u64 id, str s -> u64 count
+  kRemove = 11,  ///< tombstone an id: u64 id -> u64 total dead
 };
 inline constexpr std::uint32_t kMaxFrameType =
-    static_cast<std::uint32_t>(FrameType::kEndSweep);
+    static_cast<std::uint32_t>(FrameType::kRemove);
+
+/// True for the assigned FrameType values; the frame decoders treat any
+/// other type field as stream corruption.
+constexpr bool KnownFrameType(std::uint32_t type) {
+  return type == 1 || type == 3 || (type >= 7 && type <= kMaxFrameType);
+}
 
 /// One received frame.
 struct Frame {

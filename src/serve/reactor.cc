@@ -93,13 +93,6 @@ bool Conn::Send(FrameType type, std::uint32_t seq, std::uint32_t qid,
   return FlushOutboxLocked(lock);
 }
 
-bool Conn::SendRaw(const char* data, std::size_t n) {
-  if (failed()) return false;
-  std::unique_lock<std::mutex> lock(send_mu_);
-  outbox_.insert(outbox_.end(), data, data + n);
-  return FlushOutboxLocked(lock);
-}
-
 void Conn::ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms) {
   reader_active_ = true;
   lock.unlock();
@@ -174,25 +167,6 @@ void Conn::ReadOnce(std::unique_lock<std::mutex>& lock, int wait_ms) {
     ::shutdown(fd_, SHUT_RDWR);
     for (auto& [seq, w] : waiters_) w.cv.notify_one();
   }
-}
-
-RecvStatus Conn::TryWait(std::uint32_t seq, Frame* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = waiters_.find(seq);
-  if (it == waiters_.end()) return RecvStatus::kClosed;
-  if (it->second.done) {
-    const RecvStatus st = it->second.status;
-    if (st == RecvStatus::kOk && out != nullptr) {
-      *out = std::move(it->second.frame);
-    }
-    waiters_.erase(it);
-    return st;
-  }
-  if (failed_.load(std::memory_order_acquire)) {
-    waiters_.erase(it);
-    return RecvStatus::kClosed;
-  }
-  return RecvStatus::kTimeout;
 }
 
 RecvStatus Conn::Wait(std::uint32_t seq, int timeout_ms, Frame* out) {

@@ -17,7 +17,7 @@ namespace cned {
 /// threads exchange frames over one socket concurrently, matched back to
 /// their callers by sequence number (with the query id echoed as a sanity
 /// check). This is the reactor seam of the concurrent serving tier —
-/// everything above it (per-group failover, broadcast, hedging) works in
+/// everything above it (scatter/gather, failover, hedging, audits) works in
 /// terms of Expect/Send/Wait and never touches the fd.
 ///
 /// Receive side — a reactor with a *migrating leader* instead of a
@@ -65,12 +65,6 @@ class Conn {
   bool Send(FrameType type, std::uint32_t seq, std::uint32_t qid,
             const void* payload, std::size_t payload_bytes);
 
-  /// Sends `n` bytes of already-encoded frames (EncodeFrame output) as one
-  /// write — the batching seam of the multiplexed sweep driver, which
-  /// encodes a whole round's requests per connection and flushes them with
-  /// a single syscall. Same failure contract as Send.
-  bool SendRaw(const char* data, std::size_t n);
-
   /// Blocks until the expected reply for `seq` arrives, the connection
   /// fails (kClosed), or `timeout_ms` elapses (kTimeout; < 0 waits
   /// forever; 0 still drains a reply already buffered in the socket).
@@ -79,14 +73,6 @@ class Conn {
   /// connections) — every kTimeout must eventually be followed by another
   /// Wait or a Cancel.
   RecvStatus Wait(std::uint32_t seq, int timeout_ms, Frame* out);
-
-  /// Completed-check without reading: returns kOk or kClosed and retires
-  /// the waiter exactly like Wait, or kTimeout (registration kept) when
-  /// the reply has not been drained from the socket yet. Never takes the
-  /// reader role, never blocks, never issues a syscall — the multiplexed
-  /// sweep driver's scan loop uses this to collect replies some reader
-  /// (its own earlier probe, or another thread) already delivered.
-  RecvStatus TryWait(std::uint32_t seq, Frame* out);
 
   /// Drops a registered waiter without waiting (send failed, caller gave
   /// up, or a timed-out Wait will not be retried) — a later reply for
@@ -113,7 +99,7 @@ class Conn {
     bool done = false;
     /// True while the owning thread is blocked inside Wait for this seq.
     /// The reader handoff only considers waiting=true entries: a waiter
-    /// registered but currently unattended (a hedge leg, or a broadcast
+    /// registered but currently unattended (a hedge leg, or a scattered
     /// reply whose gatherer is still on an earlier connection) cannot
     /// take the role, and its frames simply stay buffered until its
     /// thread comes back.

@@ -6,6 +6,7 @@
 
 #include "common/binary_io.h"
 #include "distances/registry.h"
+#include "search/laesa.h"
 #include "search/sharded_laesa.h"
 #include "serve/shard_snapshot.h"
 
@@ -98,83 +99,6 @@ ShardReplica::ShardReplica(const std::string& store_path,
   index_mapping_ = reader.file();
 }
 
-ShardReplica::SweepSlot& ShardReplica::NewSlot(std::uint32_t qid) {
-  auto it = sweeps_.find(qid);
-  if (it == sweeps_.end()) {
-    if (sweeps_.size() >= kMaxSweeps) {
-      throw std::runtime_error("ShardReplica: sweep slot table full");
-    }
-    it = sweeps_.emplace(qid, std::make_unique<SweepSlot>()).first;
-  }
-  SweepSlot& slot = *it->second;
-  slot.idx.resize(store_.size());
-  slot.lower.resize(store_.size());
-  return slot;
-}
-
-ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) {
-  const auto it = sweeps_.find(qid);
-  if (it == sweeps_.end()) {
-    throw std::out_of_range("ShardReplica: unknown query id " +
-                            std::to_string(qid));
-  }
-  return *it->second;
-}
-
-const ShardReplica::SweepSlot& ShardReplica::SlotOf(std::uint32_t qid) const {
-  const auto it = sweeps_.find(qid);
-  if (it == sweeps_.end()) {
-    throw std::out_of_range("ShardReplica: unknown query id " +
-                            std::to_string(qid));
-  }
-  return *it->second;
-}
-
-std::size_t ShardReplica::live(std::uint32_t qid) const {
-  return SlotOf(qid).live;
-}
-
-std::size_t ShardReplica::live_pivots(std::uint32_t qid) const {
-  return SlotOf(qid).live_pivots;
-}
-
-void ShardReplica::EndSweep(std::uint32_t qid) { sweeps_.erase(qid); }
-
-SweepCompactResult ShardReplica::BeginLazy(std::uint32_t qid,
-                                           std::string_view query,
-                                           bool masked_start) {
-  SweepSlot& slot = NewSlot(qid);
-  slot.query.assign(query);
-  const std::size_t n_s = store_.size();
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
-                               slot.lower.data());
-  slot.live_pivots = 0;
-  for (std::size_t j = 0; j < n_s; ++j) {
-    slot.idx.data()[j] = static_cast<std::uint32_t>(base_ + j);
-    slot.live_pivots += pivot_rank_[base_ + j] >= 0 ? 1 : 0;
-  }
-  slot.live = n_s;
-  SweepCompactResult pass;
-  pass.live = slot.live;
-  if (!masked_start) return pass;  // legacy start: router begins at pivot 0
-  // Mask this shard's base tombstones out of the slab before anything is
-  // visited, and hand the router this segment's minimal-bound survivors so
-  // it can choose a live starting candidate across shards (a dead global
-  // pivot 0 must not be visited anywhere).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (base_dead_ > 0) {
-    ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
-  }
-  const SweepKernels& kern = ActiveSweepKernels();
-  pass = kern.eliminate_and_compact_flagged(slot.idx.data(), slot.lower.data(),
-                                            pivot_rank_.data(), slot.live,
-                                            /*skip=*/0xFFFFFFFFu,
-                                            /*slack=*/1.0, kInf);
-  slot.live = pass.live;
-  slot.live_pivots -= pass.pivots_died;
-  return pass;
-}
-
 bool ShardReplica::Insert(std::uint64_t id, std::string_view s) {
   // Per-shard ids are assigned (and replayed) in ascending order, so a
   // duplicate delivery — a retry after a lost reply — is exactly an id that
@@ -209,101 +133,133 @@ bool ShardReplica::Remove(std::uint64_t id) {
   return true;
 }
 
-void ShardReplica::DeltaScan(std::string_view query, double cap0,
-                             std::size_t k, std::vector<NeighborResult>* hits,
-                             std::uint64_t* computations,
-                             std::uint64_t* abandons) const {
-  hits->clear();
-  *computations = 0;
-  *abandons = 0;
-  if (k == 0) return;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+ShardAnswer ShardReplica::Query(std::string_view query, std::size_t k,
+                                const double* row, double cap) const {
+  ShardAnswer out;
+  const std::size_t n_s = store_.size();
+  // The clamp keeps a hostile k from sizing an allocation; it cannot
+  // change the answer (no shard holds more candidates).
+  k = std::min(k, n_s + delta_store_.size());
+  if (k == 0) return out;
+  out.hits.reserve(k + 1);
+  const SweepKernels& kern = ActiveSweepKernels();
+  SweepScratch& slabs = TlsSweepScratch();
+  slabs.idx.resize(n_s);
+  slabs.lower.resize(n_s);
+  std::uint32_t* idx = slabs.idx.data();
+  double* lower = slabs.lower.data();
+
+  // The masked row sweep over this slice: length bounds, every global
+  // pivot row applied dense, tombstoned slots forced to +inf, then the
+  // seed compaction against the router's cap drops pivots (the router
+  // holds their exact distances) and everything the cap already rules out.
+  distance_->LengthLowerBounds(query.size(), store_.lengths_data(), n_s,
+                               lower);
+  const QuantTableView view = table_view();
+  for (std::size_t p = 0; p < pivots_.size(); ++p) {
+    QuantUpdateLowerDense(kern, view, p, n_s, row[p], lower);
+  }
+  if (base_dead_ > 0) ApplyTombstoneMask(tombs_.data(), n_s, lower);
+  const SweepCompactResult seed =
+      kern.compact_seed(lower, pivot_rank_.data() + base_, n_s,
+                        static_cast<std::uint32_t>(base_), cap, idx, lower);
+  RowSweepAdaptive(query, *distance_, store_, base_, idx, lower, seed, k, cap,
+                   out.hits, &out.computations, &out.abandons);
+
+  // The live delta, in ascending-id order, under the same running bound.
   for (std::size_t j = 0; j < delta_store_.size(); ++j) {
     if (!delta_tombs_.empty() && TestTombstone(delta_tombs_.data(), j)) {
       continue;
     }
-    const double local =
-        hits->size() < k ? kInf : hits->back().distance;
-    const double cap = cap0 < local ? cap0 : local;
-    const double d = distance_->DistanceBounded(query, delta_store_.view(j),
-                                                cap);
-    ++*computations;
-    if (d >= cap) {
-      ++*abandons;
+    const double c = out.hits.size() < k || cap < out.hits.back().distance
+                         ? cap
+                         : out.hits.back().distance;
+    const double d = distance_->DistanceBounded(query, delta_store_.view(j), c);
+    ++out.computations;
+    if (d >= c) {
+      ++out.abandons;
       continue;
     }
-    InsertNeighborTopK(*hits, k,
+    InsertNeighborTopK(out.hits, k,
                        {static_cast<std::size_t>(delta_ids_[j]), d});
   }
-}
-
-SweepCompactResult ShardReplica::BeginRow(std::uint32_t qid,
-                                          std::string_view query,
-                                          const double* row,
-                                          double seed_bound) {
-  SweepSlot& slot = NewSlot(qid);
-  slot.query.assign(query);
-  const std::size_t n_s = store_.size();
-  const SweepKernels& kern = ActiveSweepKernels();
-  distance_->LengthLowerBounds(slot.query.size(), store_.lengths_data(), n_s,
-                               slot.lower.data());
-  const QuantTableView view = table_view();
-  for (std::size_t p = 0; p < pivots_.size(); ++p) {
-    QuantUpdateLowerDense(kern, view, p, n_s, row[p], slot.lower.data());
-  }
-  // Tombstoned base slots go to +inf before the seed compaction, so the
-  // row path can never admit a deleted prototype either — no protocol
-  // change needed: the mask rides the shard's own state.
-  if (base_dead_ > 0) {
-    ApplyTombstoneMask(tombs_.data(), n_s, slot.lower.data());
-  }
-  const SweepCompactResult out = kern.compact_seed(
-      slot.lower.data(), pivot_rank_.data() + base_, n_s,
-      static_cast<std::uint32_t>(base_), seed_bound, slot.idx.data(),
-      slot.lower.data());
-  slot.live = out.live;
-  slot.live_pivots = 0;  // the row sweep's adaptive phase never revisits
-                         // pivots
   return out;
 }
 
-double ShardReplica::Eval(std::uint32_t qid, std::size_t global_id,
-                          double cap) const {
-  if (global_id < base_ || global_id - base_ >= store_.size()) {
-    throw std::out_of_range("ShardReplica::Eval: id outside this shard");
+std::vector<NeighborResult> MergeTopK(std::vector<NeighborResult> candidates,
+                                      std::size_t k) {
+  std::sort(candidates.begin(), candidates.end(), NeighborLess);
+  std::vector<NeighborResult> out;
+  out.reserve(std::min(k, candidates.size()));
+  for (const NeighborResult& c : candidates) {
+    if (out.size() == k) break;
+    const bool seen =
+        std::any_of(out.begin(), out.end(),
+                    [&](const NeighborResult& o) { return o.index == c.index; });
+    if (!seen) out.push_back(c);
   }
-  const SweepSlot& slot = SlotOf(qid);
-  return distance_->DistanceBounded(slot.query, store_.view(global_id - base_),
-                                    cap);
-}
-
-SweepCompactResult ShardReplica::Step(std::uint32_t qid, std::uint32_t skip,
-                                      std::int32_t rank, double d,
-                                      double slack, double bound) {
-  SweepSlot& slot = SlotOf(qid);
-  const SweepKernels& kern = ActiveSweepKernels();
-  if (rank >= 0) {
-    QuantUpdateLowerPacked(kern, table_view(),
-                           static_cast<std::size_t>(rank), store_.size(), d,
-                           slot.idx.data(), static_cast<std::uint32_t>(base_),
-                           slot.lower.data(), slot.live);
-  }
-  const SweepCompactResult out = kern.eliminate_and_compact_flagged(
-      slot.idx.data(), slot.lower.data(), pivot_rank_.data(), slot.live, skip,
-      slack, bound);
-  slot.live = out.live;
-  slot.live_pivots -= out.pivots_died;
   return out;
 }
 
-SweepCompactResult ShardReplica::StepRow(std::uint32_t qid, std::uint32_t skip,
-                                         double bound) {
-  SweepSlot& slot = SlotOf(qid);
-  const SweepKernels& kern = ActiveSweepKernels();
-  const SweepCompactResult out = kern.eliminate_and_compact(
-      slot.idx.data(), slot.lower.data(), slot.live, skip, bound);
-  slot.live = out.live;
-  return out;
+double SeedCap(const std::vector<NeighborResult>& pivot_incumbents,
+               std::size_t k) {
+  if (k == 0 || pivot_incumbents.size() < k) {
+    return std::numeric_limits<double>::infinity();
+  }
+  std::vector<double> d;
+  d.reserve(pivot_incumbents.size());
+  for (const NeighborResult& p : pivot_incumbents) d.push_back(p.distance);
+  std::nth_element(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                   d.end());
+  return d[k - 1];
+}
+
+ShardLocalReference::ShardLocalReference(const std::string& dir,
+                                         const ShardedLaesa& index,
+                                         const std::string& distance_name)
+    : index_(index), live_(index.size()) {
+  for (std::size_t s = 0; s < index.shard_count(); ++s) {
+    shards_.push_back(std::make_unique<ShardReplica>(
+        ShardStorePath(dir, s), ShardIndexPath(dir, s), distance_name));
+  }
+}
+
+void ShardLocalReference::Insert(std::uint64_t id, std::string_view s) {
+  if (shards_[(id - index_.size()) % shards_.size()]->Insert(id, s)) ++live_;
+}
+
+void ShardLocalReference::Remove(std::uint64_t id) {
+  for (auto& shard : shards_) {
+    if (shard->Remove(id)) --live_;
+  }
+  if (id < index_.size()) removed_pivots_.push_back(id);
+}
+
+std::vector<NeighborResult> ShardLocalReference::KNearest(
+    std::string_view query, std::size_t k, QueryStats* stats) const {
+  k = std::min(k, live_);
+  if (k == 0) return {};
+  const std::size_t np = index_.pivot_count();
+  std::vector<double> row(np);
+  index_.ComputePivotRow(query, row.data(), stats);
+  std::vector<NeighborResult> candidates;
+  for (std::size_t p = 0; p < np; ++p) {
+    const std::size_t id = index_.pivots()[p];
+    if (std::find(removed_pivots_.begin(), removed_pivots_.end(), id) ==
+        removed_pivots_.end()) {
+      candidates.push_back({id, row[p]});
+    }
+  }
+  const double cap = SeedCap(candidates, k);
+  for (const auto& shard : shards_) {
+    const ShardAnswer a = shard->Query(query, k, row.data(), cap);
+    if (stats != nullptr) {
+      stats->distance_computations += a.computations;
+      stats->bounded_abandons += a.abandons;
+    }
+    candidates.insert(candidates.end(), a.hits.begin(), a.hits.end());
+  }
+  return MergeTopK(std::move(candidates), k);
 }
 
 }  // namespace cned

@@ -5,10 +5,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "common/aligned_buffer.h"
 #include "common/mapped_file.h"
 #include "datasets/prototype_store.h"
 #include "distances/distance.h"
@@ -18,27 +16,41 @@
 
 namespace cned {
 
-/// The worker-process half of the distributed LAESA sweep: one shard's
-/// prototypes, its slice of the pivot table, and that shard's segment of
-/// the candidate slabs.
+/// One shard's answer to a shard query (`ShardReplica::Query`): its local
+/// top-k below the cap, closest first, under global ids, plus what it
+/// cost.
+struct ShardAnswer {
+  std::vector<NeighborResult> hits;
+  std::uint64_t computations = 0;
+  std::uint64_t abandons = 0;
+};
+
+/// The router's merge of a served query (serve/router.h), also the merge a
+/// reference built from `ShardReplica` objects uses: every candidate (the
+/// live pivot incumbents plus each answered shard's hits) in
+/// (distance, id) order, each id once, truncated to k.
+std::vector<NeighborResult> MergeTopK(std::vector<NeighborResult> candidates,
+                                      std::size_t k);
+
+/// The cap a shard query carries: the k-th smallest of the live pivot
+/// incumbents' distances (+inf with fewer than k). No shard hit at or
+/// above it could displace a pivot.
+double SeedCap(const std::vector<NeighborResult>& pivot_incumbents,
+               std::size_t k);
+
+/// The worker-process half of served search: one shard's prototypes, its
+/// slice of the global pivot table, and its live delta.
 ///
-/// A replica is the per-shard loop body of `ShardedLaesa::Sweep` /
-/// `SweepWithRow` cut out and given its own state. It runs exactly the
-/// same dispatched kernels over exactly the same per-shard values
-/// (sweep_kernel.h), and the router merges its `SweepCompactResult`s the
-/// same way the in-process index merges its per-shard passes — which is
-/// what makes a healthy distributed query bit-identical (neighbours,
-/// distances AND QueryStats) to the in-process `ShardedLaesa`.
-///
-/// Multiplexing: sweep state lives in per-query slots keyed by the frame
-/// layer's query id, so one replica serves any number of interleaved
-/// sweeps over a single connection. Each slot is an independent copy of
-/// the segment slabs — a sweep's trajectory is a pure function of its own
-/// (Begin*, Step*...) sequence, untouched by whatever other queries do in
-/// between — which is exactly what keeps interleaved queries bit-identical
-/// to running them back to back. Mutable-tier state (delta, tombstones) is
-/// shared across slots; the router's writer lock guarantees mutations
-/// never interleave with a sweep that has already begun.
+/// A shard query is one stateless, idempotent call: given the query, its
+/// global pivot row and the router's cap, the replica runs the ordinary
+/// masked row sweep over its own slice (length bounds, every pivot row
+/// applied dense, tombstones masked, then the adaptive phase of
+/// search/laesa.h's `RowSweepAdaptive`) followed by a bounded scan of its
+/// live delta, every evaluation capped by min(cap, local k-th). The answer
+/// is a pure function of (replica state, request), so the router may
+/// resend it to any group member, race it, or byte-compare two members'
+/// replies. The sweep slabs are thread-local; no per-query state outlives
+/// the call.
 ///
 /// Construction verifies both snapshot files' CRC footers with a full
 /// `VerifySnapshotChecksum` pass before mapping them: a worker serving a
@@ -62,38 +74,12 @@ class ShardReplica {
   /// carries quantized tables; v1 is always f64).
   TablePrecision table_precision() const { return precision_; }
 
-  /// Candidates still live in query `qid`'s slot. Throws std::out_of_range
-  /// for an unknown qid.
-  std::size_t live(std::uint32_t qid) const;
-  /// Live candidates of `qid`'s slot that are pivots. The router sums
-  /// these across shards; when a shard dies its contribution drops out of
-  /// the sum automatically, keeping the global pivot accounting exact
-  /// under degrade.
-  std::size_t live_pivots(std::uint32_t qid) const;
-
-  /// Active sweep slots (monitoring; the overflow guard's input).
-  std::size_t sweep_count() const { return sweeps_.size(); }
-
-  /// Hard cap on concurrent sweep slots per replica: a Begin* past it
-  /// throws (the worker answers kError) instead of letting a router that
-  /// leaks query ids grow the worker without bound.
-  static constexpr std::size_t kMaxSweeps = 4096;
-
-  /// Starts a lazy sweep in `qid`'s slot (created, or reset if the id is
-  /// being reused): length lower bounds over the segment, all candidates
-  /// live. With `masked_start` false this is the legacy path: the returned
-  /// pass only carries `live` (the router starts at the first pivot),
-  /// bit-identical to the pre-mutability protocol. With it true the
-  /// shard's base tombstones are masked out by an initial compaction at
-  /// bound=+inf (sweep_kernel.h) and the returned pass carries this
-  /// segment's minimal-bound survivors so the router can pick a live start
-  /// across shards.
-  SweepCompactResult BeginLazy(std::uint32_t qid, std::string_view query,
-                               bool masked_start);
-
-  /// Retires `qid`'s slot. Idempotent — the router's end-of-sweep frame is
-  /// fire-and-forget, so a duplicate or a never-begun id is a no-op.
-  void EndSweep(std::uint32_t qid);
+  /// The shard query: this shard's k nearest non-pivot live prototypes
+  /// (base slice, then delta) strictly below `cap`, bounded as the class
+  /// comment describes. `row` holds num_pivots() entries, d(query, pivot
+  /// p) in manifest order.
+  ShardAnswer Query(std::string_view query, std::size_t k, const double* row,
+                    double cap) const;
 
   /// --- Live mutability (mutable tier ops, replicated by the router). ----
 
@@ -107,45 +93,10 @@ class ShardReplica {
   /// already-dead ids.
   bool Remove(std::uint64_t id);
 
-  /// Bounded exhaustive scan of the live delta in ascending-id order: the
-  /// scattered form of the mutable tier's delta phase. Each evaluation is
-  /// capped by min(cap0, the local k-th hit); `>= cap` abandons, exactly
-  /// the sweeps' semantics, so the result is a deterministic pure function
-  /// of (delta, query, cap0, k) — safe to retry and to byte-compare across
-  /// group members. Hits report global ids in `index`.
-  void DeltaScan(std::string_view query, double cap0, std::size_t k,
-                 std::vector<NeighborResult>* hits,
-                 std::uint64_t* computations, std::uint64_t* abandons) const;
-
   std::size_t base_dead() const { return base_dead_; }
   std::size_t delta_count() const { return delta_store_.size(); }
   std::size_t delta_dead() const { return delta_dead_; }
   std::size_t total_dead() const { return base_dead_ + delta_dead_; }
-
-  /// Starts a row sweep in `qid`'s slot: length bounds, every pivot row
-  /// applied dense, then the seed compaction against `seed_bound`. Returns
-  /// the segment's compact result.
-  SweepCompactResult BeginRow(std::uint32_t qid, std::string_view query,
-                              const double* row, double seed_bound);
-
-  /// d(slot query, prototype at global id) bounded by `cap` — the
-  /// scattered form of the sweep's visit evaluation. Pure (idempotent):
-  /// safe for the router to retry. Throws std::out_of_range for an id
-  /// outside the segment or an unknown qid.
-  double Eval(std::uint32_t qid, std::size_t global_id, double cap) const;
-
-  /// One lazy visit pass on `qid`'s slot: if `rank` >= 0 the visited
-  /// candidate was pivot `rank`, so its table row tightens the segment's
-  /// bounds first; then eliminate-and-compact against `bound` with
-  /// `slack`, dropping `skip` (the visited candidate). Mutates slot state
-  /// — not idempotent. Throws std::out_of_range for an unknown qid.
-  SweepCompactResult Step(std::uint32_t qid, std::uint32_t skip,
-                          std::int32_t rank, double d, double slack,
-                          double bound);
-
-  /// One row-sweep visit pass: eliminate-and-compact only.
-  SweepCompactResult StepRow(std::uint32_t qid, std::uint32_t skip,
-                             double bound);
 
  private:
   std::size_t shard_id_ = 0;
@@ -178,20 +129,6 @@ class ShardReplica {
   const QuantRowMeta* row_meta_ = nullptr;  // global per-row meta, mapped
   std::shared_ptr<MappedFile> index_mapping_;
 
-  /// One in-flight sweep: this query's private copy of the segment slabs.
-  struct SweepSlot {
-    std::string query;
-    AlignedBuffer<std::uint32_t> idx;
-    AlignedBuffer<double> lower;
-    std::size_t live = 0;
-    std::size_t live_pivots = 0;
-  };
-  SweepSlot& NewSlot(std::uint32_t qid);
-  SweepSlot& SlotOf(std::uint32_t qid);
-  const SweepSlot& SlotOf(std::uint32_t qid) const;
-
-  std::unordered_map<std::uint32_t, std::unique_ptr<SweepSlot>> sweeps_;
-
   // Mutable-tier state, process-local (rebuilt by the router's op-journal
   // replay when a replica respawns). Tombstone bitmaps are allocated on
   // first use; empty means no deletes.
@@ -201,6 +138,35 @@ class ShardReplica {
   std::vector<std::uint64_t> delta_ids_;     // global id per delta slot
   std::vector<std::uint64_t> delta_tombs_;   // over delta slots
   std::size_t delta_dead_ = 0;
+};
+
+class ShardedLaesa;
+
+/// The served read computed in one process: one ShardReplica per shard of
+/// a serving snapshot, queried under the seed cap of the live pivot
+/// incumbents and merged by MergeTopK — what a healthy ServeRouter
+/// answers, neighbours and QueryStats included. The reference the serving
+/// tests and benches compare against. Mutations follow the router's
+/// ownership rule (inserted id i lands on shard (i - size) mod shards).
+class ShardLocalReference {
+ public:
+  /// `index` is the in-process index the snapshot in `dir` was saved from
+  /// (SaveServingSnapshot); it supplies the pivots and the distance and
+  /// must outlive the reference.
+  ShardLocalReference(const std::string& dir, const ShardedLaesa& index,
+                      const std::string& distance_name);
+
+  void Insert(std::uint64_t id, std::string_view s);
+  void Remove(std::uint64_t id);
+
+  std::vector<NeighborResult> KNearest(std::string_view query, std::size_t k,
+                                       QueryStats* stats = nullptr) const;
+
+ private:
+  const ShardedLaesa& index_;
+  std::size_t live_;
+  std::vector<std::unique_ptr<ShardReplica>> shards_;
+  std::vector<std::size_t> removed_pivots_;
 };
 
 }  // namespace cned

@@ -1,6 +1,5 @@
 #include "serve/router.h"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -8,8 +7,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
-#include <list>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -23,8 +22,6 @@
 
 namespace cned {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using Clock = std::chrono::steady_clock;
 
@@ -199,9 +196,9 @@ ServeRouter::~ServeRouter() {
 // Drift-free ticking: each deadline is the previous deadline plus the
 // interval, not "now + interval" after the work finished, so slow ticks
 // do not stretch the period; ticks missed entirely are skipped (never
-// bunched). The loop takes only respawn_mu_ — pings multiplex over the
-// shared connections at query id 0 while queries are mid-sweep, and a
-// replica revived here joins at a later query's begin.
+// bunched). The loop takes only respawn_mu_ — pings share the
+// connections at query id 0 while queries are in flight, and a replica
+// revived here serves only queries that start later.
 void ServeRouter::HealthLoop() {
   const auto interval = std::chrono::milliseconds(options_.health_interval_ms);
   const std::size_t cap =
@@ -362,18 +359,6 @@ void ServeRouter::SnapshotCtx(QueryCtx* ctx) const {
   }
 }
 
-void ServeRouter::EndSweeps(const QueryCtx& ctx) {
-  for (const GroupCtx& g : ctx.groups) {
-    for (const Participant& m : g.members) {
-      if (m.conn == nullptr || m.conn->failed()) continue;
-      // Fire-and-forget (no Expect): the worker retires the sweep slot
-      // and sends nothing back.
-      m.conn->Send(FrameType::kEndSweep, m.conn->NextSeq(), ctx.qid, nullptr,
-                   0);
-    }
-  }
-}
-
 void ServeRouter::Promote(QueryCtx& ctx, std::size_t s, std::size_t r) {
   ctx.groups[s].primary = r;
   // Mirror to the global group when its member is unchanged, steering
@@ -400,74 +385,9 @@ bool ServeRouter::EnsurePrimary(QueryCtx& ctx, std::size_t s,
   return false;
 }
 
-bool ServeRouter::SendRecv(QueryCtx& ctx, std::size_t s, std::size_t r,
-                           FrameType type, const std::vector<char>& payload,
-                           std::vector<char>* reply, int timeout_ms,
-                           bool retryable, std::int64_t deadline_ms) {
-  Participant& m = ctx.groups[s].members[r];
-  const int attempts = retryable ? 1 + options_.op_retries : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (!m.alive) return false;
-    // Gate on the remaining deadline before sleeping or sending: an
-    // already-expired query must not burn a full send+recv window. The
-    // break still reaches the MarkDead below — GroupEval's retry loop
-    // relies on a false return leaving the replica dead.
-    std::int64_t left = timeout_ms;
-    if (deadline_ms >= 0) {
-      left = deadline_ms - NowMs();
-      if (left <= 0) break;
-    }
-    if (attempt > 0) {
-      BackoffSleep(options_.backoff_base_ms, attempt, deadline_ms);
-      if (deadline_ms >= 0) {
-        left = deadline_ms - NowMs();
-        if (left <= 0) break;
-      }
-    }
-    const std::uint32_t seq = m.conn->NextSeq();
-    m.conn->Expect(seq, ctx.qid);
-    if (!m.conn->Send(type, seq, ctx.qid, payload.data(), payload.size())) {
-      m.conn->Cancel(seq);
-      MarkDead(ctx, s, r);
-      return false;
-    }
-    // Cap the per-attempt recv window at the remaining deadline, so one
-    // slow attempt cannot overshoot the whole query budget.
-    const int window =
-        deadline_ms >= 0 && left < timeout_ms ? static_cast<int>(left)
-                                              : timeout_ms;
-    Frame frame;
-    const RecvStatus st = m.conn->Wait(seq, window, &frame);
-    if (st == RecvStatus::kOk) {
-      if (frame.type != kReplyType) {
-        // kError (a worker-side exception) or an unexpected type: the
-        // replica's state is suspect either way.
-        MarkDead(ctx, s, r);
-        return false;
-      }
-      if (reply != nullptr) *reply = std::move(frame.payload);
-      return true;
-    }
-    if (st != RecvStatus::kTimeout) {
-      // A corrupt or closed stream is never resynchronised: dead replica.
-      MarkDead(ctx, s, r);
-      return false;
-    }
-    // kTimeout: deregister (a late reply becomes stale) and retry when
-    // the op allows it.
-    m.conn->Cancel(seq);
-    if (!retryable) {
-      MarkDead(ctx, s, r);
-      return false;
-    }
-  }
-  MarkDead(ctx, s, r);
-  return false;
-}
-
 bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
                                   const std::vector<char>& payload,
-                                  std::vector<char>* reply, bool retryable) {
+                                  std::vector<char>* reply) {
   std::shared_ptr<Conn> conn;
   {
     Group& g = *groups_[s];
@@ -479,8 +399,7 @@ bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
     MarkDeadGlobal(s, r);
     return false;
   }
-  const int attempts = retryable ? 1 + options_.op_retries : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt <= options_.op_retries; ++attempt) {
     if (attempt > 0) {
       BackoffSleep(options_.backoff_base_ms, attempt, /*deadline_ms=*/-1);
     }
@@ -506,262 +425,8 @@ bool ServeRouter::ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
       return false;
     }
     conn->Cancel(seq);
-    if (!retryable) break;
   }
   MarkDeadGlobal(s, r);
-  return false;
-}
-
-void ServeRouter::Broadcast(QueryCtx& ctx, FrameType type,
-                            const std::vector<char>& payload, bool retryable,
-                            int timeout_ms, std::int64_t deadline_ms,
-                            std::vector<ShardView>& views,
-                            std::vector<std::vector<char>>& replies,
-                            std::vector<std::size_t>& missing,
-                            ServeResult* res) {
-  const std::size_t shards = views.size();
-  const std::size_t R = replicas_per_shard_;
-  // Per (shard, member) scatter state, flat-indexed s * R + r.
-  std::vector<std::uint32_t> sent_seq(shards * R, 0);
-  std::vector<char> pending(shards * R, 0), good(shards * R, 0);
-  std::vector<std::vector<char>> member_reply(shards * R);
-
-  // Scatter to every live pinned member of every active shard first, so
-  // all replicas compute their pass concurrently — this is the
-  // state-machine replication step: standbys consume the identical op
-  // stream. With concurrent queries in flight, the reactor's send
-  // coalescing merges these frames with other queries' into fewer
-  // syscalls.
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (!views[s].active) continue;
-    GroupCtx& g = ctx.groups[s];
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      Participant& m = g.members[r];
-      if (!m.alive) continue;
-      const std::size_t i = s * R + r;
-      sent_seq[i] = m.conn->NextSeq();
-      m.conn->Expect(sent_seq[i], ctx.qid);
-      if (m.conn->Send(type, sent_seq[i], ctx.qid, payload.data(),
-                       payload.size())) {
-        pending[i] = 1;
-      } else {
-        m.conn->Cancel(sent_seq[i]);
-        MarkDead(ctx, s, r);
-      }
-    }
-  }
-  // ...then gather in (shard, member) order. Later waits usually complete
-  // instantly: whichever thread reads the socket completes every waiter
-  // whose frame arrived in the same drain.
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t r = 0; r < R; ++r) {
-      const std::size_t i = s * R + r;
-      if (!pending[i]) continue;
-      Participant& m = ctx.groups[s].members[r];
-      Frame frame;
-      const RecvStatus st = m.conn->Wait(sent_seq[i], timeout_ms, &frame);
-      if (st == RecvStatus::kOk && frame.type == kReplyType) {
-        member_reply[i] = std::move(frame.payload);
-        good[i] = 1;
-      } else if (st == RecvStatus::kTimeout) {
-        // Deregister — the late reply becomes stale — then retry fresh
-        // when the op is idempotent; a mutating op that timed out costs
-        // the replica its life on the spot.
-        m.conn->Cancel(sent_seq[i]);
-        if (retryable) {
-          if (SendRecv(ctx, s, r, type, payload, &member_reply[i], timeout_ms,
-                       /*retryable=*/true, deadline_ms)) {
-            good[i] = 1;
-          }
-        } else {
-          MarkDead(ctx, s, r);
-        }
-      } else if (st == RecvStatus::kOk) {
-        // kError or an unexpected type.
-        MarkDead(ctx, s, r);
-      } else {
-        MarkDead(ctx, s, r);
-      }
-    }
-  }
-  // Reconcile each group: the primary's reply drives the merge; standbys
-  // must agree byte-for-byte or be evicted as corrupt; a failed primary
-  // is replaced by the first standby that answered (whose slab state is
-  // bit-identical by construction) — the failover that keeps the query
-  // exact and unflagged.
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (!views[s].active) continue;
-    GroupCtx& g = ctx.groups[s];
-    std::size_t driver = g.members.size();
-    if (good[s * R + g.primary]) {
-      driver = g.primary;
-    } else {
-      for (std::size_t r = 0; r < g.members.size(); ++r) {
-        if (good[s * R + r]) {
-          driver = r;
-          break;
-        }
-      }
-      if (driver < g.members.size()) {
-        Promote(ctx, s, driver);
-        if (res != nullptr) ++res->failovers;
-      }
-    }
-    if (driver == g.members.size()) {
-      // The whole replica group is gone: only now does the shard degrade.
-      views[s].active = false;
-      missing.push_back(s);
-      continue;
-    }
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      if (r == driver || !good[s * R + r]) continue;
-      if (member_reply[s * R + r] != member_reply[s * R + driver]) {
-        MarkDead(ctx, s, r);
-        if (res != nullptr) ++res->replicas_evicted;
-      }
-    }
-    replies[s] = std::move(member_reply[s * R + driver]);
-  }
-}
-
-bool ServeRouter::GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
-                            const std::vector<char>& payload,
-                            std::vector<char>* reply, std::int64_t deadline_ms,
-                            ServeResult* res) {
-  GroupCtx& g = ctx.groups[s];
-  if (!EnsurePrimary(ctx, s, res)) return false;
-
-  auto pick_standby = [&]() -> std::size_t {
-    for (std::size_t r = 0; r < g.members.size(); ++r) {
-      if (r != g.primary && g.members[r].alive) return r;
-    }
-    return g.members.size();
-  };
-
-  if (options_.hedge_delay_ms < 0 || pick_standby() == g.members.size()) {
-    // No hedging possible: plain retried exchange, failing over to the
-    // next member while any remains (the op is pure, so a promoted standby
-    // answers identically).
-    while (EnsurePrimary(ctx, s, res)) {
-      if (SendRecv(ctx, s, g.primary, type, payload, reply,
-                   RemainingMs(deadline_ms), /*retryable=*/true,
-                   deadline_ms)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  const int attempts = 1 + options_.op_retries;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      BackoffSleep(options_.backoff_base_ms, attempt, deadline_ms);
-    }
-    if (!EnsurePrimary(ctx, s, res)) return false;
-    const int window = RemainingMs(deadline_ms);
-    if (window == 0) break;
-    const std::int64_t attempt_end = NowMs() + window;
-
-    const std::size_t prim_idx = g.primary;
-    Participant& prim = g.members[prim_idx];
-    const std::uint32_t pseq = prim.conn->NextSeq();
-    prim.conn->Expect(pseq, ctx.qid);
-    if (!prim.conn->Send(type, pseq, ctx.qid, payload.data(),
-                         payload.size())) {
-      prim.conn->Cancel(pseq);
-      MarkDead(ctx, s, prim_idx);
-      continue;
-    }
-    bool p_pending = true;
-
-    // Phase 1: give the primary the hedge window to itself.
-    {
-      const std::int64_t left = attempt_end - NowMs();
-      int hedge = options_.hedge_delay_ms;
-      if (hedge > left) hedge = static_cast<int>(left > 0 ? left : 0);
-      Frame frame;
-      const RecvStatus st = prim.conn->Wait(pseq, hedge, &frame);
-      if (st == RecvStatus::kOk) {
-        if (frame.type == kReplyType) {
-          *reply = std::move(frame.payload);
-          return true;
-        }
-        MarkDead(ctx, s, prim_idx);
-        p_pending = false;
-      } else if (st != RecvStatus::kTimeout) {
-        MarkDead(ctx, s, prim_idx);
-        p_pending = false;
-      }
-    }
-
-    // Phase 2: race the standby against the (slow or dead) primary and
-    // take the first valid reply — both hold the same snapshot, so either
-    // answer is exact. Each connection has its own reactor (no
-    // cross-connection poll), so the race alternates short waits between
-    // the two sides; a winner is noticed at worst ~2ms late. When only
-    // one side remains pending, its wait spans the rest of the window.
-    const std::size_t stand_idx = pick_standby();
-    bool s_pending = false;
-    std::uint32_t sseq = 0;
-    if (stand_idx < g.members.size()) {
-      Participant& stand = g.members[stand_idx];
-      sseq = stand.conn->NextSeq();
-      stand.conn->Expect(sseq, ctx.qid);
-      if (stand.conn->Send(type, sseq, ctx.qid, payload.data(),
-                           payload.size())) {
-        s_pending = true;
-        if (res != nullptr) ++res->hedged_evals;
-      } else {
-        stand.conn->Cancel(sseq);
-        MarkDead(ctx, s, stand_idx);
-      }
-    }
-
-    auto poll_side = [&](std::size_t idx, std::uint32_t seq, bool* pend,
-                         int wait_ms) -> bool {
-      Frame frame;
-      const RecvStatus st = g.members[idx].conn->Wait(seq, wait_ms, &frame);
-      if (st == RecvStatus::kOk) {
-        if (frame.type == kReplyType) {
-          *reply = std::move(frame.payload);
-          return true;
-        }
-        MarkDead(ctx, s, idx);
-        *pend = false;
-      } else if (st != RecvStatus::kTimeout) {
-        MarkDead(ctx, s, idx);
-        *pend = false;
-      }
-      return false;
-    };
-    while (p_pending || s_pending) {
-      const std::int64_t left = attempt_end - NowMs();
-      if (left <= 0) break;
-      const int slice = left < 2 ? static_cast<int>(left) : 2;
-      if (p_pending &&
-          poll_side(prim_idx, pseq, &p_pending,
-                    s_pending ? slice : static_cast<int>(left))) {
-        if (s_pending) g.members[stand_idx].conn->Cancel(sseq);
-        return true;
-      }
-      if (s_pending &&
-          poll_side(stand_idx, sseq, &s_pending,
-                    p_pending ? slice : static_cast<int>(left))) {
-        if (p_pending) g.members[prim_idx].conn->Cancel(pseq);
-        return true;
-      }
-    }
-    // Attempt window exhausted with no valid reply from either side:
-    // deregister both (late replies become stale) and try again fresh.
-    if (p_pending) g.members[prim_idx].conn->Cancel(pseq);
-    if (s_pending) g.members[stand_idx].conn->Cancel(sseq);
-  }
-  // All attempts burned: whatever is still nominally pending has missed
-  // every window — treat the participants as unresponsive, exactly as the
-  // unreplicated tier treats a worker that exhausts its retries.
-  MarkDead(ctx, s, g.primary);
-  const std::size_t stand_idx = pick_standby();
-  if (stand_idx < g.members.size()) MarkDead(ctx, s, stand_idx);
   return false;
 }
 
@@ -834,55 +499,22 @@ ServeResult ServeRouter::Nearest(std::string_view query) {
 }
 
 ServeResult ServeRouter::KNearest(std::string_view query, std::size_t k) {
-  // Shared world lock: N callers sweep concurrently; mutations (which
-  // take it exclusive) never interleave with a sweep.
+  // The pivot stage reads only the immutable manifest: it runs before the
+  // world lock, so a waiting writer is never held up by it.
+  std::vector<double> row(pivots_.size());
+  for (std::size_t p = 0; p < row.size(); ++p) {
+    row[p] = distance_->Distance(query, pivot_strings_[p]);
+  }
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res = QueryLazy(ctx, query, k, /*slack=*/1.0);
-  EndSweeps(ctx);
-  return res;
-}
-
-std::vector<ServeResult> ServeRouter::NearestBatch(
-    const std::vector<std::string>& queries) {
-  return KNearestBatch(queries, 1);
+  return Read(query, k, row.data());
 }
 
 std::vector<ServeResult> ServeRouter::KNearestBatch(
     const std::vector<std::string>& queries, std::size_t k) {
   std::vector<ServeResult> out;
   out.reserve(queries.size());
-  const std::size_t np = pivots_.size();
-  std::vector<double> row(np);
-  for (const std::string& q : queries) {
-    std::shared_lock<std::shared_mutex> world(world_mu_);
-    // Respawn between queries: one lost group costs one partial answer,
-    // and revived replicas (re-mapped, checksum-verified) rejoin at the
-    // next query's begin.
-    MaybeRespawn();
-    QueryCtx ctx;
-    SnapshotCtx(&ctx);
-    // Pivot stage, router-side (counted inside QueryRow as the batch
-    // engine counts it).
-    for (std::size_t p = 0; p < np; ++p) {
-      row[p] = distance_->Distance(q, pivot_strings_[p]);
-    }
-    out.push_back(QueryRow(ctx, q, k, row.data()));
-    EndSweeps(ctx);
-  }
+  for (const std::string& q : queries) out.push_back(KNearest(q, k));
   return out;
-}
-
-ServeResult ServeRouter::RobustRowQuery(std::string_view query, std::size_t k,
-                                        const double* row) {
-  MaybeRespawn();
-  QueryCtx ctx;
-  SnapshotCtx(&ctx);
-  ServeResult res = QueryRow(ctx, query, k, row);
-  EndSweeps(ctx);
-  return res;
 }
 
 ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
@@ -892,517 +524,320 @@ ServeResult ServeRouter::KNearestWithRow(std::string_view query, std::size_t k,
         "ServeRouter::KNearestWithRow: row must have num_pivots() entries");
   }
   std::shared_lock<std::shared_mutex> world(world_mu_);
-  return RobustRowQuery(query, k, row.data());
+  return Read(query, k, row.data());
 }
 
-bool ServeRouter::FastWorldLocked() const {
-  if (base_dead_total_ != 0) return false;
-  for (const std::size_t d : delta_live_) {
-    if (d != 0) return false;
-  }
-  for (const auto& g : groups_) {
-    std::lock_guard<std::mutex> glock(g->mu);
-    for (const Replica& m : g->members) {
-      if (!m.alive || m.conn == nullptr || m.conn->failed()) return false;
+ServeResult ServeRouter::Read(std::string_view query, std::size_t k,
+                              const double* row) {
+  // Respawn between queries: one lost group costs one partial answer, and
+  // revived replicas (re-mapped, checksum-verified, journal-replayed) serve
+  // from the next query on.
+  MaybeRespawn();
+  ServeResult res;
+  std::size_t delta_total = 0;
+  for (const std::size_t v : delta_live_) delta_total += v;
+  k = std::min(k, n_ - base_dead_total_ + delta_total);
+  if (k == 0) return res;
+  const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
+  const std::size_t shards = shard_sizes_.size();
+  const std::size_t np = pivots_.size();
+  QueryCtx ctx;
+  SnapshotCtx(&ctx);
+
+  // The pivot incumbents. A tombstoned pivot's row entry still tightens
+  // every worker's bounds (an admissible use), but it is no longer a
+  // member of the live set.
+  std::vector<NeighborResult> candidates;
+  candidates.reserve(np + shards * k);
+  for (std::size_t p = 0; p < np; ++p) {
+    if (base_tombs_.empty() || !TestTombstone(base_tombs_.data(), pivots_[p])) {
+      candidates.push_back({pivots_[p], row[p]});
     }
+  }
+  res.stats.distance_computations = np;
+  res.stats.pivot_computations = np;
+
+  PayloadWriter w;
+  EncodeShardQuery(w, query, k, SeedCap(candidates, k), row, np);
+  const bool audit = ctx.qid % kAuditPeriod == 0;
+  std::vector<ShardCall> calls(shards);
+  std::vector<char> sent(shards, 0);
+  for (std::size_t s = 0; s < shards; ++s) {
+    sent[s] = ScatterShard(ctx, s, w.buf, audit, &calls[s], &res) ? 1 : 0;
+  }
+  for (std::size_t s = 0; s < shards; ++s) {
+    ShardAnswer a;
+    if (sent[s] && GatherShard(ctx, s, w.buf, k, deadline, &calls[s], &a,
+                               &res)) {
+      res.stats.distance_computations += a.computations;
+      res.stats.bounded_abandons += a.abandons;
+      candidates.insert(candidates.end(), a.hits.begin(), a.hits.end());
+    } else {
+      res.missing_shards.push_back(s);
+    }
+  }
+  res.neighbors = MergeTopK(std::move(candidates), k);
+  res.partial = !res.missing_shards.empty();
+  res.stats.shards_degraded = res.missing_shards.size();
+  return res;
+}
+
+bool ServeRouter::SendLeg(QueryCtx& ctx, std::size_t s, std::size_t r,
+                          const std::vector<char>& payload, Leg* leg) {
+  Participant& m = ctx.groups[s].members[r];
+  leg->r = r;
+  leg->pending = false;
+  if (!m.alive) return false;
+  leg->seq = m.conn->NextSeq();
+  m.conn->Expect(leg->seq, ctx.qid);
+  if (!m.conn->Send(FrameType::kBeginRow, leg->seq, ctx.qid, payload.data(),
+                    payload.size())) {
+    m.conn->Cancel(leg->seq);
+    MarkDead(ctx, s, r);
+    return false;
+  }
+  leg->pending = true;
+  return true;
+}
+
+ServeRouter::LegState ServeRouter::WaitLeg(QueryCtx& ctx, std::size_t s,
+                                           Leg* leg, int wait_ms,
+                                           std::vector<char>* bytes) {
+  Frame frame;
+  const RecvStatus st =
+      ctx.groups[s].members[leg->r].conn->Wait(leg->seq, wait_ms, &frame);
+  if (st == RecvStatus::kTimeout) return LegState::kPending;
+  leg->pending = false;
+  if (st == RecvStatus::kOk && frame.type == kReplyType) {
+    *bytes = std::move(frame.payload);
+    return LegState::kAnswered;
+  }
+  // kError (a worker-side exception), an unexpected type, or a corrupt or
+  // closed stream — never resynchronised: the member is dead.
+  MarkDead(ctx, s, leg->r);
+  return LegState::kFailed;
+}
+
+void ServeRouter::CancelLeg(QueryCtx& ctx, std::size_t s, Leg* leg) {
+  if (!leg->pending) return;
+  ctx.groups[s].members[leg->r].conn->Cancel(leg->seq);
+  leg->pending = false;
+}
+
+bool ServeRouter::Accept(QueryCtx& ctx, std::size_t s, std::size_t r,
+                         const std::vector<char>& bytes, std::size_t k,
+                         ShardAnswer* out) {
+  bool ok = DecodeShardAnswer(bytes, k, out);
+  for (std::size_t i = 0; ok && i < out->hits.size(); ++i) {
+    const std::size_t id = out->hits[i].index;
+    ok = (id >= bases_[s] && id < bases_[s + 1]) ||
+         (id >= n_ && id < next_insert_id_ &&
+          (id - n_) % shard_sizes_.size() == s);
+  }
+  // A CRC-valid reply that does not decode to this shard's answer means
+  // the member's state is suspect: it is as dead as a crashed one.
+  if (!ok) MarkDead(ctx, s, r);
+  return ok;
+}
+
+std::size_t ServeRouter::GroupCtx::Standby(std::size_t skip,
+                                           std::size_t turn) const {
+  std::size_t live = 0;
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    live += r != skip && members[r].alive ? 1 : 0;
+  }
+  if (live == 0) return members.size();
+  turn %= live;
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    if (r == skip || !members[r].alive) continue;
+    if (turn-- == 0) return r;
+  }
+  return members.size();
+}
+
+bool ServeRouter::ScatterShard(QueryCtx& ctx, std::size_t s,
+                               const std::vector<char>& payload, bool audit,
+                               ShardCall* call, ServeResult* res) {
+  GroupCtx& g = ctx.groups[s];
+  bool sent = false;
+  while (!sent && EnsurePrimary(ctx, s, res)) {
+    sent = SendLeg(ctx, s, g.primary, payload, &call->lead);
+  }
+  if (!sent) return false;
+  call->attempt_start = NowMs();
+  if (audit) {
+    // Rotate the audited standby with the query id, so every member of a
+    // larger group is checked in turn.
+    const std::size_t r = g.Standby(g.primary, ctx.qid / kAuditPeriod);
+    call->audit =
+        r < g.members.size() && SendLeg(ctx, s, r, payload, &call->side);
   }
   return true;
 }
 
-void ServeRouter::DriveSweeps(SweepFeed& feed, std::size_t max_concurrent) {
-  const std::size_t wave = max_concurrent == 0 ? 16 : max_concurrent;
-  const std::size_t shards = shard_sizes_.size();
-  const std::size_t np = pivots_.size();
-
-  /// One outstanding request leg of a sweep's current phase.
-  struct Leg {
-    std::size_t s = 0, r = 0;
-    std::uint32_t seq = 0;
-    Conn* conn = nullptr;
-    bool done = false;
-    std::vector<char> payload;
-  };
-  enum class St { kBegin, kEval, kStep, kDone, kBail };
-  struct Sweep {
-    SweepJob job;
-    St st = St::kBegin;
-    std::size_t k = 0;
-    std::int64_t deadline = 0;
-    QueryCtx ctx;
-    std::vector<ShardView> views;
-    std::vector<NeighborResult> best;
-    ServeResult res;
-    std::vector<Leg> legs;
-    std::uint64_t computations = 0, abandons = 0;
-    std::size_t s_cand = kSweepNone;
-    double cap = 0.0;
-    std::int64_t last_progress_ms = 0;
-    bool settled = false;  // kDone or kBail, awaiting delivery
-  };
-
-  std::list<Sweep> sweeps;
-  std::shared_lock<std::shared_mutex> world(world_mu_, std::defer_lock);
-  bool fast = false;
-
-  // Per-connection request buffers for the current round; flushed as one
-  // write per connection.
-  std::vector<Conn*> flush_order;
-  std::unordered_map<Conn*, std::vector<char>> outgoing;
-
-  auto enqueue = [&](Sweep& sw, std::size_t s, std::size_t r, FrameType type,
-                     const PayloadWriter& w) {
-    const Participant& m = sw.ctx.groups[s].members[r];
-    Leg leg;
-    leg.s = s;
-    leg.r = r;
-    leg.conn = m.conn.get();
-    leg.seq = m.conn->NextSeq();
-    m.conn->Expect(leg.seq, sw.ctx.qid);
-    auto& buf = outgoing[leg.conn];
-    if (buf.empty()) flush_order.push_back(leg.conn);
-    EncodeFrame(&buf, type, leg.seq, sw.ctx.qid, w.buf.data(), w.buf.size());
-    sw.legs.push_back(leg);
-  };
-  auto flush = [&] {
-    for (Conn* conn : flush_order) {
-      auto& buf = outgoing[conn];
-      if (!buf.empty()) conn->SendRaw(buf.data(), buf.size());
-      buf.clear();
-    }
-    flush_order.clear();
-  };
-  auto kth = [](const Sweep& sw) {
-    return sw.best.size() < sw.k ? kInf : sw.best.back().distance;
-  };
-  auto total_live = [](const Sweep& sw) {
-    std::size_t live = 0;
-    for (const ShardView& v : sw.views) {
-      if (v.active) live += v.live;
-    }
-    return live;
-  };
-  auto select_next = [](const Sweep& sw) {
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
-    for (const ShardView& v : sw.views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-    }
-    return next;
-  };
-  // EndSweeps, but riding the next round's flush instead of paying its
-  // own write syscall per connection: the kEndSweep frames are
-  // fire-and-forget, and the worker's slot table tolerates one round of
-  // retirement lag. Every finish/bail is followed by a flush in the same
-  // driver iteration, so nothing lingers.
-  auto end_sweeps_buffered = [&](const QueryCtx& ctx) {
-    for (const GroupCtx& g : ctx.groups) {
-      for (const Participant& m : g.members) {
-        if (m.conn == nullptr || m.conn->failed()) continue;
-        auto& buf = outgoing[m.conn.get()];
-        if (buf.empty()) flush_order.push_back(m.conn.get());
-        EncodeFrame(&buf, FrameType::kEndSweep, m.conn->NextSeq(), ctx.qid,
-                    nullptr, 0);
-      }
-    }
-  };
-  auto bail = [&](Sweep& sw) {
-    for (const Leg& leg : sw.legs) {
-      if (!leg.done) leg.conn->Cancel(leg.seq);
-    }
-    sw.legs.clear();
-    end_sweeps_buffered(sw.ctx);
-    sw.res = ServeResult();
-    sw.st = St::kBail;
-    sw.settled = true;
-    // A bail usually means a replica died under us: re-gate admission now
-    // rather than feeding more sweeps into a world that will bail them.
-    fast = FastWorldLocked();
-  };
-  auto finish = [&](Sweep& sw) {
-    sw.res.stats.distance_computations += sw.computations;
-    sw.res.stats.bounded_abandons += sw.abandons;
-    sw.res.neighbors = std::move(sw.best);
-    std::sort(sw.res.missing_shards.begin(), sw.res.missing_shards.end());
-    sw.res.partial = !sw.res.missing_shards.empty();
-    sw.res.stats.shards_degraded = sw.res.missing_shards.size();
-    end_sweeps_buffered(sw.ctx);
-    sw.st = St::kDone;
-    sw.settled = true;
-  };
-  auto issue_eval = [&](Sweep& sw) {
-    sw.cap = kth(sw);
-    PayloadWriter w;
-    w.U64(sw.s_cand);
-    w.F64(sw.cap);
-    sw.legs.clear();
-    enqueue(sw, ShardOf(sw.s_cand), sw.ctx.groups[ShardOf(sw.s_cand)].primary,
-            FrameType::kEval, w);
-    sw.st = St::kEval;
-  };
-  auto start_sweep = [&](Sweep& sw) {
-    sw.st = St::kBegin;
-    sw.deadline = NowMs() + options_.query_deadline_ms;
-    sw.last_progress_ms = NowMs();
-    sw.k = std::min(sw.job.k, n_);
-    if (sw.k == 0) {
-      finish(sw);
-      return;
-    }
-    SnapshotCtx(&sw.ctx);
-    // The fast gate held when this wave's world lock was taken, but a
-    // replica can die right up to the snapshot; an incomplete snapshot
-    // bails to the robust path, which owns failover.
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (const Participant& m : sw.ctx.groups[s].members) {
-        if (!m.alive) {
-          bail(sw);
-          return;
-        }
-      }
-    }
-    sw.views.assign(shards, ShardView());
-    for (ShardView& v : sw.views) v.active = true;
-    sw.res.stats.distance_computations += np;
-    sw.res.stats.pivot_computations += np;
-    const double* row = sw.job.row;
-    sw.best.reserve(sw.k + 1);
-    for (std::size_t p = 0; p < np; ++p) {
-      if (!base_tombs_.empty() &&
-          TestTombstone(base_tombs_.data(), pivots_[p])) {
-        continue;  // unreachable under the fast gate; kept for parity
-      }
-      InsertNeighborTopK(sw.best, sw.k, {pivots_[p], row[p]},
-                         /*admit_ties=*/true);
-    }
-    PayloadWriter w;
-    w.Str(sw.job.query);
-    w.F64(kth(sw));
-    w.U64(np);
-    w.Raw(row, np * sizeof(double));
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t r = 0; r < sw.ctx.groups[s].members.size(); ++r) {
-        enqueue(sw, s, r, FrameType::kBeginRow, w);
-      }
-    }
-  };
-
-  // Reconciles a completed begin/step round: the primary's reply drives
-  // the shard view, every standby must byte-agree (the state-machine
-  // replication check). Returns false on any malformed or disagreeing
-  // reply — the caller bails to the robust path, which evicts properly.
-  auto absorb_compacts = [&](Sweep& sw) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      const Leg* primary = nullptr;
-      for (const Leg& leg : sw.legs) {
-        if (leg.s == s && leg.r == sw.ctx.groups[s].primary) primary = &leg;
-      }
-      if (primary == nullptr) return false;
-      for (const Leg& leg : sw.legs) {
-        if (leg.s == s && &leg != primary && leg.payload != primary->payload) {
-          return false;
-        }
-      }
-      PayloadReader r(primary->payload);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) return false;
-      sw.views[s].last = wc.pass;
-      sw.views[s].live = wc.pass.live;
-    }
-    return true;
-  };
-
-  auto deliver_settled = [&] {
-    for (auto it = sweeps.begin(); it != sweeps.end();) {
-      if (it->settled) {
-        feed.Deliver(it->job.tag, std::move(it->res), it->st == St::kBail);
-        it = sweeps.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
+// One shard's gather. The request is in flight on the lead (the current
+// primary) and, for an audited query, on a standby. Events, in the order
+// the loop checks them:
+//   * the lead answers: merged; an audit copy is then compared byte for
+//     byte (a standby that disagrees, or misses the op timeout, is
+//     evicted), a hedge copy cancelled;
+//   * the lead fails (crash, kError, malformed or undecodable reply): a
+//     standby copy already in flight takes over, else the request fails
+//     over to the next live member — both count as failovers;
+//   * the hedge trigger passes: the request is raced on a standby (an
+//     audit copy simply becomes the race) and the first valid reply wins;
+//   * the op timeout passes: the copies are withdrawn and the lead is
+//     retried with backoff; once its retries are spent it is dead (and so
+//     is a standby that missed the same window), and the request fails
+//     over;
+//   * the deadline passes: a reply already buffered is still taken, else
+//     the shard is missing; nobody is condemned.
+// A connection has no cross-connection wait, so a race alternates short
+// waits between its two legs.
+bool ServeRouter::GatherShard(QueryCtx& ctx, std::size_t s,
+                              const std::vector<char>& payload, std::size_t k,
+                              std::int64_t deadline_ms, ShardCall* call,
+                              ShardAnswer* out, ServeResult* res) {
+  constexpr int kRaceSliceMs = 2;
+  GroupCtx& g = ctx.groups[s];
+  Leg& lead = call->lead;
+  Leg& side = call->side;
+  const bool hedging = options_.hedge_delay_ms >= 0;
+  int attempt = 0;
+  std::vector<char> bytes;
   for (;;) {
-    if (sweeps.empty() && feed.Finished()) break;
-
-    if (!world.owns_lock()) {
-      world.lock();
-      MaybeRespawn();
-      fast = FastWorldLocked();
-    }
-    // A writer announced itself: stop admitting so the wave drains and
-    // the shared hold can be released below. In read-only steady state
-    // this branch never fires and the driver keeps the lock indefinitely
-    // — cycling it on a timer would decay the wave to nothing once per
-    // cycle for no one's benefit.
-    const bool writer_waiting =
-        writers_waiting_.load(std::memory_order_relaxed) > 0;
-
-    // Admit until the wave is full (or, when the world is not fast-path
-    // eligible, hand every queued job straight back for a robust rerun on
-    // its caller's thread — serializing robust queries through this one
-    // thread would be a step backwards).
-    if (!writer_waiting) {
-      SweepJob job;
-      while (sweeps.size() < wave && feed.Next(&job)) {
-        if (!fast) {
-          feed.Deliver(job.tag, ServeResult(), /*bailed=*/true);
-          continue;
+    if (!lead.pending) {
+      if (side.pending) {
+        Promote(ctx, s, side.r);
+        ++res->failovers;
+        lead = side;
+        side = Leg();
+        call->audit = false;
+      } else {
+        // Failover: the next live member, with a fresh retry budget.
+        bool sent = false;
+        while (!sent && EnsurePrimary(ctx, s, res)) {
+          sent = SendLeg(ctx, s, g.primary, payload, &lead);
         }
-        sweeps.emplace_back();
-        Sweep& sw = sweeps.back();
-        sw.job = job;
-        start_sweep(sw);
+        if (!sent) return false;  // the whole replica group is lost
+        attempt = 0;
+        call->attempt_start = NowMs();
       }
     }
-    flush();
-    deliver_settled();
-
-    if (sweeps.empty()) {
-      // Nothing in flight: give the world back (a writer may be waiting
-      // on it) and park for new work. The deliberate gap after a
-      // writer-forced drain lets the blocked Insert/Remove actually win
-      // the lock before we re-take it.
-      world.unlock();
-      if (writer_waiting) {
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
+    std::int64_t now = NowMs();
+    if (now >= deadline_ms) {
+      // Shards are gathered in turn, so a slow one can spend the deadline
+      // while a later shard's reply already sits on its connection: take
+      // a buffered reply before declaring the shard missing.
+      bool answered = false;
+      for (Leg* leg : {&lead, &side}) {
+        answered = answered ||
+                   (leg->pending &&
+                    WaitLeg(ctx, s, leg, 0, &bytes) == LegState::kAnswered &&
+                    Accept(ctx, s, leg->r, bytes, k, out));
       }
-      if (feed.Finished()) break;
-      const int wfd = feed.wake_fd();
-      if (wfd >= 0) {
-        struct pollfd pfd{wfd, POLLIN, 0};
-        ::poll(&pfd, 1, 50);
-        if ((pfd.revents & POLLIN) != 0) {
-          char buf[256];
-          while (::read(wfd, buf, sizeof(buf)) > 0) {
-          }
+      CancelLeg(ctx, s, &lead);
+      CancelLeg(ctx, s, &side);
+      return answered;
+    }
+    const std::int64_t attempt_end =
+        call->attempt_start + options_.op_timeout_ms;
+    const std::int64_t trigger =
+        hedging ? call->attempt_start + HedgeTriggerMs()
+                : std::numeric_limits<std::int64_t>::max();
+    const bool racing = side.pending && !call->audit;
+    std::int64_t until = std::min(deadline_ms, attempt_end);
+    if (!racing && now < trigger) until = std::min(until, trigger);
+    int wait = static_cast<int>(std::max<std::int64_t>(0, until - now));
+    if (racing) wait = std::min(wait, kRaceSliceMs);
+
+    LegState st = WaitLeg(ctx, s, &lead, wait, &bytes);
+    if (st == LegState::kAnswered) {
+      if (!Accept(ctx, s, lead.r, bytes, k, out)) continue;
+      RecordLeadReply(NowMs() - call->attempt_start);
+      if (call->audit && side.pending) {
+        // The standby got the request with the lead and has the same op
+        // timeout to answer it. One that disagrees, or that misses the
+        // window (hung, not dead — a read-only workload would otherwise
+        // pay the window on every audit), is evicted.
+        std::vector<char> copy;
+        const std::int64_t window = std::min(deadline_ms, attempt_end);
+        st = WaitLeg(ctx, s, &side,
+                     static_cast<int>(
+                         std::max<std::int64_t>(0, window - NowMs())),
+                     &copy);
+        if ((st == LegState::kAnswered && copy != bytes) ||
+            (st == LegState::kPending && NowMs() >= attempt_end)) {
+          MarkDead(ctx, s, side.r);
+          ++res->replicas_evicted;
+        }
+      }
+      CancelLeg(ctx, s, &side);
+      return true;
+    }
+    if (st == LegState::kFailed) continue;
+    if (racing &&
+        WaitLeg(ctx, s, &side, wait, &bytes) == LegState::kAnswered &&
+        Accept(ctx, s, side.r, bytes, k, out)) {
+      // The hedge won. A race is not a verdict: the slow primary keeps
+      // its job.
+      CancelLeg(ctx, s, &lead);
+      return true;
+    }
+
+    now = NowMs();
+    if (now >= attempt_end) {
+      const bool side_missed = side.pending && !call->audit;
+      CancelLeg(ctx, s, &lead);
+      CancelLeg(ctx, s, &side);
+      call->audit = false;
+      if (++attempt < 1 + options_.op_retries) {
+        BackoffSleep(options_.backoff_base_ms, attempt, deadline_ms);
+        if (SendLeg(ctx, s, lead.r, payload, &lead)) {
+          call->attempt_start = NowMs();
         }
       } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        MarkDead(ctx, s, lead.r);
+        if (side_missed) MarkDead(ctx, s, side.r);
       }
-      continue;
-    }
-
-    // Park: one poll across every connection that still owes a reply,
-    // plus the feed's wake fd so a fresh admission interrupts the park.
-    // Readiness results then drive the scan — only a flagged connection
-    // is worth a read syscall. The short cap bounds the stall if some
-    // other reader (a robust rerun, the control plane) drains our frames
-    // between the scan below and the next park.
-    std::vector<struct pollfd> pfds;
-    for (const Sweep& sw : sweeps) {
-      for (const Leg& leg : sw.legs) {
-        if (leg.done) continue;
-        bool seen = false;
-        for (const struct pollfd& p : pfds) {
-          if (p.fd == leg.conn->fd()) seen = true;
-        }
-        if (!seen) pfds.push_back({leg.conn->fd(), POLLIN, 0});
-      }
-    }
-    const std::size_t conn_pfds = pfds.size();
-    const int wfd = feed.wake_fd();
-    if (wfd >= 0 && !writer_waiting && sweeps.size() < wave &&
-        !feed.Finished()) {
-      pfds.push_back({wfd, POLLIN, 0});
-    }
-    if (!pfds.empty()) {
-      ::poll(pfds.data(), pfds.size(), 20);
-    }
-    if (pfds.size() > conn_pfds && (pfds.back().revents & POLLIN) != 0) {
-      char buf[256];
-      while (::read(wfd, buf, sizeof(buf)) > 0) {
-      }
-    }
-    const auto readable = [&](Conn* c) {
-      for (std::size_t i = 0; i < conn_pfds; ++i) {
-        if (pfds[i].fd == c->fd()) {
-          return (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-        }
-      }
-      return false;
-    };
-
-    // Scan to quiescence: TryWait collects replies some reader already
-    // drained for free, each readable connection is read at most once
-    // per park (one recv empties it), and newly issued requests stay
-    // buffered until the flush below — their replies cannot land
-    // mid-scan, so the rescans are pure flag checks and the loop
-    // terminates once every arrived reply is absorbed.
-    std::vector<Conn*> probed;
-    const auto conn_probed = [&](Conn* c) {
-      for (Conn* d : probed) {
-        if (d == c) return true;
-      }
-      return false;
-    };
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (Sweep& sw : sweeps) {
-        if (sw.st != St::kBegin && sw.st != St::kEval && sw.st != St::kStep) {
-          continue;
-        }
-        bool all_done = true;
-        bool dead = false;
-        for (Leg& leg : sw.legs) {
-          if (leg.done) continue;
-          Frame f;
-          RecvStatus st = leg.conn->TryWait(leg.seq, &f);
-          if (st == RecvStatus::kTimeout && readable(leg.conn) &&
-              !conn_probed(leg.conn)) {
-            probed.push_back(leg.conn);
-            st = leg.conn->Wait(leg.seq, 0, &f);
-          }
-          if (st == RecvStatus::kOk) {
-            if (f.type != kReplyType) {
-              dead = true;
-              break;
-            }
-            leg.payload = std::move(f.payload);
-            leg.done = true;
-            // A probe here may have drained replies for sweeps scanned
-            // earlier in this pass; one more (syscall-free) pass picks
-            // those up rather than stalling them into the next park.
-            progress = true;
-          } else if (st == RecvStatus::kClosed) {
-            dead = true;
-            break;
-          } else {
-            all_done = false;
-          }
-        }
-        if (dead) {
-          bail(sw);
-          progress = true;
-          continue;
-        }
-        if (!all_done) {
-          const std::int64_t now = NowMs();
-          if (now - sw.last_progress_ms >
-                  static_cast<std::int64_t>(options_.op_timeout_ms) ||
-              now >= sw.deadline) {
-            bail(sw);
-            progress = true;
-          }
-          continue;
-        }
-
-        // Phase complete: absorb the replies and issue the next round.
-        progress = true;
-        sw.last_progress_ms = NowMs();
-        if (sw.st == St::kBegin || sw.st == St::kStep) {
-          if (!absorb_compacts(sw)) {
-            bail(sw);
-            continue;
-          }
-          sw.legs.clear();
-          if (total_live(sw) == 0) {
-            finish(sw);
-            continue;
-          }
-          sw.s_cand = select_next(sw);
-          if (sw.s_cand == kSweepNone) {
-            finish(sw);
-            continue;
-          }
-          issue_eval(sw);
-        } else {  // kEval
-          PayloadReader r(sw.legs[0].payload);
-          const double d = r.F64();
-          if (!r.Done()) {
-            bail(sw);
-            continue;
-          }
-          ++sw.computations;
-          if (d >= sw.cap) {
-            ++sw.abandons;
-          } else {
-            InsertNeighborTopK(sw.best, sw.k, {sw.s_cand, d});
-          }
-          PayloadWriter w;
-          w.U32(static_cast<std::uint32_t>(sw.s_cand));
-          w.F64(kth(sw));
-          sw.legs.clear();
-          for (std::size_t s = 0; s < shards; ++s) {
-            for (std::size_t r2 = 0; r2 < sw.ctx.groups[s].members.size();
-                 ++r2) {
-              enqueue(sw, s, r2, FrameType::kStepRow, w);
-            }
-          }
-          sw.st = St::kStep;
+    } else if (now >= trigger) {
+      if (side.pending) {
+        call->audit = false;  // the audit copy doubles as the hedge
+      } else {
+        const std::size_t r = g.Standby(lead.r, 0);
+        if (r < g.members.size() && SendLeg(ctx, s, r, payload, &side)) {
+          ++res->hedged_evals;
         }
       }
     }
-    flush();
-    deliver_settled();
   }
 }
 
-namespace {
+int ServeRouter::HedgeTriggerMs() const {
+  std::lock_guard<std::mutex> lock(clock_mu_);
+  // Twice the retransmit estimate: a false hedge duplicates a whole
+  // shard query, not a packet, and shard reply times (queueing behind
+  // other queries, query-length-dependent dC work) have an
+  // exponential-like tail — srtt + 4 rttvar alone fires on a few percent
+  // of healthy requests.
+  const double estimate = std::ceil(2.0 * (srtt_ms_ + 4.0 * rttvar_ms_));
+  return estimate > options_.hedge_delay_ms ? static_cast<int>(estimate)
+                                            : options_.hedge_delay_ms;
+}
 
-/// Static feed over parallel vectors — the one-shot batch entry point.
-class VectorSweepFeed : public SweepFeed {
- public:
-  VectorSweepFeed(const std::vector<std::string_view>& queries,
-                  const std::vector<std::size_t>& ks,
-                  const std::vector<const double*>& rows,
-                  std::vector<ServeResult>* out, std::vector<char>* bailed)
-      : queries_(queries), ks_(ks), rows_(rows), out_(out), bailed_(bailed) {}
-
-  bool Next(SweepJob* out) override {
-    if (next_ >= queries_.size()) return false;
-    out->query = queries_[next_];
-    out->k = ks_[next_];
-    out->row = rows_[next_];
-    out->tag = next_;
-    ++next_;
-    return true;
+// The retransmit-timeout estimator of TCP (Jacobson/Karels): a smoothed
+// reply time and a smoothed mean deviation, gains 1/8 and 1/4.
+void ServeRouter::RecordLeadReply(std::int64_t ms) {
+  const double x = static_cast<double>(ms);
+  std::lock_guard<std::mutex> lock(clock_mu_);
+  if (!clock_primed_) {
+    srtt_ms_ = x;
+    rttvar_ms_ = x / 2.0;
+    clock_primed_ = true;
+    return;
   }
-  bool Finished() override { return next_ >= queries_.size(); }
-  void Deliver(std::uint64_t tag, ServeResult res, bool bailed) override {
-    (*out_)[tag] = std::move(res);
-    (*bailed_)[tag] = bailed ? 1 : 0;
-  }
-
- private:
-  const std::vector<std::string_view>& queries_;
-  const std::vector<std::size_t>& ks_;
-  const std::vector<const double*>& rows_;
-  std::vector<ServeResult>* out_;
-  std::vector<char>* bailed_;
-  std::size_t next_ = 0;
-};
-
-}  // namespace
-
-std::vector<ServeResult> ServeRouter::KNearestManyWithRows(
-    const std::vector<std::string_view>& queries,
-    const std::vector<std::size_t>& ks, const std::vector<const double*>& rows,
-    std::size_t max_concurrent) {
-  const std::size_t n = queries.size();
-  if (ks.size() != n || rows.size() != n) {
-    throw std::invalid_argument(
-        "ServeRouter::KNearestManyWithRows: queries/ks/rows sizes differ");
-  }
-  std::vector<ServeResult> out(n);
-  if (n == 0) return out;
-  std::vector<char> bailed(n, 0);
-  VectorSweepFeed feed(queries, ks, rows, &out, &bailed);
-  DriveSweeps(feed, max_concurrent);
-
-  // Robust reruns: everything the fast path refused or abandoned. Each
-  // gets a fresh context and query id — the bailed sweep's slots were
-  // already retired — and the full retry/failover/hedging treatment.
-  std::shared_lock<std::shared_mutex> world(world_mu_);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (bailed[i]) out[i] = RobustRowQuery(queries[i], ks[i], rows[i]);
-  }
-  return out;
+  rttvar_ms_ += 0.25 * (std::fabs(srtt_ms_ - x) - rttvar_ms_);
+  srtt_ms_ += 0.125 * (x - srtt_ms_);
 }
 
 bool ServeRouter::PingAll() {
@@ -1422,8 +857,7 @@ bool ServeRouter::PingAllLocked() {
         }
       }
       std::vector<char> reply;
-      if (!ControlSendRecv(s, r, FrameType::kPing, {}, &reply,
-                           /*retryable=*/true)) {
+      if (!ControlSendRecv(s, r, FrameType::kPing, {}, &reply)) {
         all = false;
         continue;
       }
@@ -1465,8 +899,7 @@ std::size_t ServeRouter::RespawnDeadLocked(std::size_t limit) {
         if (!g.members[r].alive) continue;
       }
       std::vector<char> reply;
-      if (ControlSendRecv(s, r, FrameType::kPing, {}, &reply,
-                          /*retryable=*/true)) {
+      if (ControlSendRecv(s, r, FrameType::kPing, {}, &reply)) {
         // A fresh fork maps only the immutable snapshot; replay the
         // shard's mutation journal so it rejoins at the group's current
         // delta/tombstone state (ops are idempotent by id, so a partial
@@ -1492,14 +925,10 @@ std::size_t ServeRouter::RespawnDeadLocked(std::size_t limit) {
 
 std::uint64_t ServeRouter::Insert(std::string_view s) {
   // World-exclusive: mutations are globally serialized in journal order
-  // and never interleave with an in-flight sweep (per-shard writer order
+  // and never interleave with an in-flight read (per-shard writer order
   // is a consequence). respawn_mu_ follows in the lock hierarchy — the
-  // journal append below is thereby visible to both lock holders. The
-  // waiting-writer announcement is what makes the sweep driver drain and
-  // release its shared hold (see writers_waiting_).
-  writers_waiting_.fetch_add(1, std::memory_order_relaxed);
+  // journal append below is thereby visible to both lock holders.
   std::unique_lock<std::shared_mutex> world(world_mu_);
-  writers_waiting_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> rlock(respawn_mu_);
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   const std::uint64_t id = next_insert_id_++;
@@ -1519,9 +948,7 @@ std::uint64_t ServeRouter::Insert(std::string_view s) {
 }
 
 bool ServeRouter::Remove(std::uint64_t id) {
-  writers_waiting_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::shared_mutex> world(world_mu_);
-  writers_waiting_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> rlock(respawn_mu_);
   if (options_.auto_respawn) RespawnDeadLocked(/*limit=*/0);
   std::size_t owner = 0;
@@ -1608,8 +1035,7 @@ void ServeRouter::ReplicateMutation(std::size_t owner, const MutationOp& op) {
       good[r] = 1;
     } else if (st == RecvStatus::kTimeout) {
       conns[r]->Cancel(seqs[r]);
-      if (ControlSendRecv(owner, r, type, w.buf, &reply[r],
-                          /*retryable=*/true)) {
+      if (ControlSendRecv(owner, r, type, w.buf, &reply[r])) {
         good[r] = 1;
       }
     } else {
@@ -1646,460 +1072,11 @@ bool ServeRouter::ReplayMutations(std::size_t s, std::size_t r) {
     std::vector<char> reply;
     if (!ControlSendRecv(s, r,
                          op.insert ? FrameType::kInsert : FrameType::kRemove,
-                         w.buf, &reply, /*retryable=*/true)) {
+                         w.buf, &reply)) {
       return false;  // ControlSendRecv already marked the replica dead
     }
   }
   return true;
-}
-
-// The distributed form of the mutable tier's delta phase: every shard
-// holding live delta entries runs one bounded scan (hedged like Eval —
-// the scan is a pure function of the shard's delta), capped by the base
-// sweep's incumbents. The gathered hits are sorted globally by
-// NeighborLess and strict-merged, which reproduces the (distance, id)
-// tie-break exactly: all base ids < all delta ids, and within the delta
-// the sort puts the lower id first at equal distance.
-void ServeRouter::DeltaPhase(QueryCtx& ctx, std::string_view query,
-                             std::size_t k, std::int64_t deadline,
-                             std::vector<ShardView>& views,
-                             std::vector<NeighborResult>& best,
-                             std::uint64_t* computations,
-                             std::uint64_t* abandons, ServeResult* res) {
-  const std::size_t shards = shard_sizes_.size();
-  const double cap0 = best.size() < k ? kInf : best.back().distance;
-  std::vector<NeighborResult> hits;
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (delta_live_[s] == 0) continue;
-    // A shard already lost to the base sweep is in missing_shards; its
-    // delta is unreachable through the same dead group.
-    if (!views[s].active) continue;
-    if (RemainingMs(deadline) == 0) {
-      res->missing_shards.push_back(s);
-      continue;
-    }
-    PayloadWriter w;
-    w.Str(query);
-    w.F64(cap0);
-    w.U64(k);
-    std::vector<char> reply;
-    bool ok = GroupEval(ctx, s, FrameType::kDeltaScan, w.buf, &reply,
-                        deadline, res);
-    if (ok) {
-      PayloadReader r(reply);
-      const std::size_t mark = hits.size();
-      const std::uint64_t count = r.U64();
-      ok = r.ok() && count <= k;  // a worker returns at most k hits
-      for (std::uint64_t i = 0; ok && i < count; ++i) {
-        const std::uint64_t id = r.U64();
-        const double d = r.F64();
-        ok = r.ok();
-        if (ok) hits.push_back({static_cast<std::size_t>(id), d});
-      }
-      const std::uint64_t comps = r.U64();
-      const std::uint64_t ab = r.U64();
-      ok = ok && r.Done();
-      if (ok) {
-        *computations += comps;
-        *abandons += ab;
-      } else {
-        // Partially decoded garbage: drop what it contributed.
-        hits.resize(mark);
-        MarkDead(ctx, s, ctx.groups[s].primary);
-      }
-    }
-    if (!ok) {
-      views[s].active = false;
-      res->missing_shards.push_back(s);
-    }
-  }
-  std::sort(hits.begin(), hits.end(), NeighborLess);
-  for (const NeighborResult& h : hits) InsertNeighborTopK(best, k, h);
-}
-
-// The distributed `ShardedLaesa::Sweep`: identical decisions on identical
-// values in identical order — only the per-shard kernel passes run in the
-// workers (on every live member of each replica group). Read side by side
-// with sharded_laesa.cc.
-ServeResult ServeRouter::QueryLazy(QueryCtx& ctx, std::string_view query,
-                                   std::size_t k, double slack) {
-  ServeResult res;
-  std::size_t delta_total = 0;
-  for (const std::size_t v : delta_live_) delta_total += v;
-  k = std::min(k, n_ - base_dead_total_ + delta_total);
-  if (k == 0) return res;
-  const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-  const std::size_t shards = shard_sizes_.size();
-  // Any base tombstone anywhere switches the begin to its masked form:
-  // every worker compacts the deleted slots out before anything is
-  // visited and reports its surviving minima, so the router can pick a
-  // live start (a dead global pivot 0 must not be visited). Without
-  // tombstones the legacy begin runs — the healthy immutable path stays
-  // bit-identical, stats included.
-  const bool masked = base_dead_total_ > 0;
-
-  std::vector<ShardView> views(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    views[s].active = ctx.groups[s].AnyAlive();
-    if (!views[s].active) res.missing_shards.push_back(s);
-  }
-
-  // Scatter the sweep start to every live replica. Idempotent: a member
-  // that misses the timeout is retried before being declared dead.
-  {
-    PayloadWriter w;
-    w.Str(query);
-    w.U32(masked ? 1u : 0u);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kBeginLazy, w.buf,
-              /*retryable=*/true, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      bool ok;
-      if (masked) {
-        const WireCompact wc = DecodeCompact(r);
-        views[s].last = wc.pass;
-        views[s].live = wc.pass.live;
-        views[s].live_pivots = wc.live_pivots;
-        // The mask pass drops exactly the tombstoned slots (every live
-        // slot's length bound is finite), so the survivor count is an
-        // integrity check just like the legacy full count.
-        ok = r.Done() && views[s].live == shard_sizes_[s] - shard_dead_[s];
-      } else {
-        views[s].live = r.U64();
-        views[s].live_pivots = r.U64();
-        ok = r.Done() && views[s].live == shard_sizes_[s];
-      }
-      if (!ok) {
-        // The driving reply decoded to garbage (CRC-valid but wrong):
-        // with the primary's stream suspect there is no quorum to promote
-        // on, so the shard sits this query out. EnsurePrimary (without
-        // counting a failover — nothing was saved) leaves the group
-        // pointing at a live member for the next query.
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        EnsurePrimary(ctx, s, nullptr);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-      }
-    }
-  }
-
-  std::size_t total_live = 0, live_pivots = 0;
-  auto recount = [&]() {
-    total_live = 0;
-    live_pivots = 0;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      total_live += v.live;
-      live_pivots += v.live_pivots;
-    }
-  };
-  recount();
-
-  // Merge per-shard minima in shard order with strict '<' — the lowest
-  // global index wins ties, exactly as in process.
-  auto select_next = [&]() -> std::size_t {
-    std::size_t next = kSweepNone, next_pivot = kSweepNone;
-    double next_key = kInf, next_pivot_key = kInf;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-      if (v.last.next_pivot != kSweepNone &&
-          v.last.next_pivot_key < next_pivot_key) {
-        next_pivot_key = v.last.next_pivot_key;
-        next_pivot = v.last.next_pivot;
-      }
-    }
-    return live_pivots > 0 ? next_pivot : next;
-  };
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  std::uint64_t computations = 0, abandons = 0, pivot_computations = 0;
-
-  // Legacy start: the first pivot, as in process. Masked start: the best
-  // survivor of the begin passes — tombstoned slots are already gone.
-  std::size_t s_cand = masked ? select_next() : pivots_[0];
-  while (total_live > 0 && s_cand != kSweepNone) {
-    if (RemainingMs(deadline) == 0) {
-      // Deadline: degrade to the incumbents; every shard still holding
-      // live candidates is missing from the answer.
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (views[s].active && views[s].live > 0) {
-          res.missing_shards.push_back(s);
-        }
-      }
-      break;
-    }
-    const std::int32_t rank = pivot_rank_[s_cand];
-    const bool is_pivot = rank >= 0;
-    const double cap = is_pivot ? kInf : kth();
-    double d;
-    if (is_pivot) {
-      // Pivot strings live in the manifest: the visit evaluation runs
-      // router-side, like the pivot stage.
-      d = distance_->DistanceBounded(query, pivot_strings_[rank], cap);
-    } else {
-      const std::size_t owner = ShardOf(s_cand);
-      PayloadWriter w;
-      w.U64(s_cand);
-      w.F64(cap);
-      std::vector<char> reply;
-      bool ok = views[owner].active &&
-                GroupEval(ctx, owner, FrameType::kEval, w.buf, &reply,
-                          deadline, &res);
-      if (ok) {
-        PayloadReader r(reply);
-        d = r.F64();
-        ok = r.Done();
-        if (!ok) MarkDead(ctx, owner, ctx.groups[owner].primary);
-      }
-      if (!ok) {
-        // The candidate's whole group is gone: drop the shard from the
-        // sweep and pick the best survivor from the remaining shards'
-        // last passes. No visit happened, so no counters move.
-        views[owner].active = false;
-        res.missing_shards.push_back(owner);
-        recount();
-        s_cand = select_next();
-        continue;
-      }
-    }
-    ++computations;
-    pivot_computations += is_pivot ? 1 : 0;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-
-    // Scatter the visit pass to every live replica; the elimination
-    // radius tightens with the new incumbent. Mutating — never retried: a
-    // member that misses the timeout here is dead on the spot, and only a
-    // whole lost group degrades the shard.
-    const double bound = kth();
-    PayloadWriter w;
-    w.U32(static_cast<std::uint32_t>(s_cand));
-    w.I32(rank);
-    w.F64(d);
-    w.F64(slack);
-    w.F64(bound);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kStep, w.buf,
-              /*retryable=*/false, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-      views[s].live_pivots = wc.live_pivots;
-    }
-    recount();
-    if (total_live == 0) break;
-    s_cand = select_next();
-  }
-
-  // The delta phase: everything inserted since the snapshot lives in the
-  // workers' in-memory deltas, scanned bounded by the base incumbents.
-  DeltaPhase(ctx, query, k, deadline, views, best, &computations, &abandons,
-             &res);
-
-  res.stats.distance_computations += computations;
-  res.stats.bounded_abandons += abandons;
-  res.stats.pivot_computations += pivot_computations;
-  std::sort(res.missing_shards.begin(), res.missing_shards.end());
-  res.missing_shards.erase(
-      std::unique(res.missing_shards.begin(), res.missing_shards.end()),
-      res.missing_shards.end());
-  res.partial = !res.missing_shards.empty();
-  res.stats.shards_degraded = res.missing_shards.size();
-  res.neighbors = std::move(best);
-  return res;
-}
-
-// The distributed `ShardedLaesa::SweepWithRow`: the pivot row (computed
-// by the caller — the batch path router-side, the admission front end for
-// its coalesced batches) seeds the incumbents (ties admitted, as the row
-// is already paid for), then the same adaptive loop runs over the merged
-// survivors. The row evaluations are charged here, once per query, as the
-// in-process batch engine charges them.
-ServeResult ServeRouter::QueryRow(QueryCtx& ctx, std::string_view query,
-                                  std::size_t k, const double* row) {
-  ServeResult res;
-  std::size_t delta_total = 0;
-  for (const std::size_t v : delta_live_) delta_total += v;
-  k = std::min(k, n_ - base_dead_total_ + delta_total);
-  if (k == 0) return res;
-  const std::int64_t deadline = NowMs() + options_.query_deadline_ms;
-  const std::size_t shards = shard_sizes_.size();
-  const std::size_t np = pivots_.size();
-
-  std::vector<ShardView> views(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    views[s].active = ctx.groups[s].AnyAlive();
-    if (!views[s].active) res.missing_shards.push_back(s);
-  }
-
-  res.stats.distance_computations += np;
-  res.stats.pivot_computations += np;
-
-  std::vector<NeighborResult> best;
-  best.reserve(k + 1);
-  auto kth = [&]() { return best.size() < k ? kInf : best.back().distance; };
-  for (std::size_t p = 0; p < np; ++p) {
-    // A tombstoned pivot's evaluation still tightens every worker's bounds
-    // (its row is broadcast below, an admissible use), but it must never
-    // become an incumbent — it is no longer a member of the live set.
-    if (!base_tombs_.empty() && TestTombstone(base_tombs_.data(), pivots_[p])) {
-      continue;
-    }
-    InsertNeighborTopK(best, k, {pivots_[p], row[p]}, /*admit_ties=*/true);
-  }
-  const double seed_bound = kth();
-
-  {
-    PayloadWriter w;
-    w.Str(query);
-    w.F64(seed_bound);
-    w.U64(np);
-    w.Raw(row, np * sizeof(double));
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kBeginRow, w.buf,
-              /*retryable=*/true, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-      views[s].live_pivots = 0;
-    }
-  }
-
-  std::size_t total_live = 0;
-  auto recount = [&]() {
-    total_live = 0;
-    for (const ShardView& v : views) {
-      if (v.active) total_live += v.live;
-    }
-  };
-  auto select_next = [&]() -> std::size_t {
-    std::size_t next = kSweepNone;
-    double next_key = kInf;
-    for (const ShardView& v : views) {
-      if (!v.active) continue;
-      if (v.last.next != kSweepNone && v.last.next_key < next_key) {
-        next_key = v.last.next_key;
-        next = v.last.next;
-      }
-    }
-    return next;
-  };
-  recount();
-  std::size_t s_cand = select_next();
-
-  std::uint64_t computations = 0, abandons = 0;
-  while (total_live > 0 && s_cand != kSweepNone) {
-    if (RemainingMs(deadline) == 0) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        if (views[s].active && views[s].live > 0) {
-          res.missing_shards.push_back(s);
-        }
-      }
-      break;
-    }
-    const double cap = kth();
-    const std::size_t owner = ShardOf(s_cand);
-    PayloadWriter ew;
-    ew.U64(s_cand);
-    ew.F64(cap);
-    std::vector<char> reply;
-    bool ok = views[owner].active &&
-              GroupEval(ctx, owner, FrameType::kEval, ew.buf, &reply,
-                        deadline, &res);
-    double d = 0.0;
-    if (ok) {
-      PayloadReader r(reply);
-      d = r.F64();
-      ok = r.Done();
-      if (!ok) MarkDead(ctx, owner, ctx.groups[owner].primary);
-    }
-    if (!ok) {
-      views[owner].active = false;
-      res.missing_shards.push_back(owner);
-      recount();
-      s_cand = select_next();
-      continue;
-    }
-    ++computations;
-    const bool abandoned = d >= cap;
-    if (abandoned) {
-      ++abandons;
-    } else {
-      InsertNeighborTopK(best, k, {s_cand, d});
-    }
-
-    const double bound = kth();
-    PayloadWriter w;
-    w.U32(static_cast<std::uint32_t>(s_cand));
-    w.F64(bound);
-    std::vector<std::vector<char>> replies(shards);
-    Broadcast(ctx, FrameType::kStepRow, w.buf,
-              /*retryable=*/false, RemainingMs(deadline), deadline, views,
-              replies, res.missing_shards, &res);
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!views[s].active) continue;
-      PayloadReader r(replies[s]);
-      const WireCompact wc = DecodeCompact(r);
-      if (!r.Done()) {
-        MarkDead(ctx, s, ctx.groups[s].primary);
-        views[s].active = false;
-        res.missing_shards.push_back(s);
-        continue;
-      }
-      views[s].last = wc.pass;
-      views[s].live = wc.pass.live;
-    }
-    recount();
-    if (total_live == 0) break;
-    s_cand = select_next();
-  }
-
-  DeltaPhase(ctx, query, k, deadline, views, best, &computations, &abandons,
-             &res);
-
-  res.stats.distance_computations += computations;
-  res.stats.bounded_abandons += abandons;
-  std::sort(res.missing_shards.begin(), res.missing_shards.end());
-  res.missing_shards.erase(
-      std::unique(res.missing_shards.begin(), res.missing_shards.end()),
-      res.missing_shards.end());
-  res.partial = !res.missing_shards.empty();
-  res.stats.shards_degraded = res.missing_shards.size();
-  res.neighbors = std::move(best);
-  return res;
 }
 
 }  // namespace cned

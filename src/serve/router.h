@@ -16,8 +16,8 @@
 
 #include "distances/distance.h"
 #include "search/nn_searcher.h"
-#include "search/sweep_kernel.h"
 #include "serve/reactor.h"
+#include "serve/replica.h"
 
 namespace cned {
 
@@ -30,48 +30,49 @@ struct ServeOptions {
   std::string distance;
 
   /// Replica-group size: every shard is served by `replicas` worker
-  /// processes over the same snapshot files. State-machine replication —
-  /// the router scatters the begin and every sweep-mutating step to all
-  /// live members, so standbys hold bit-identical slab state and a dead
-  /// primary is replaced mid-query with no loss. 1 = the unreplicated
-  /// scatter/gather tier; must be >= 1.
+  /// processes over the same snapshot files. Mutations are broadcast to
+  /// every live member; reads go to the primary, fail over to a standby,
+  /// and are hedged and sampled-audited against one (see ServeRouter).
+  /// 1 = the unreplicated tier; must be >= 1.
   int replicas = 2;
 
-  /// Per-operation reply timeout. A replica that misses it on an
-  /// idempotent op (ping / begin / eval) is retried; on a sweep-mutating
-  /// op (step) it is marked dead immediately — its slab state can no
-  /// longer be trusted to match the router's accounting. The *shard*
-  /// degrades only when its whole replica group is lost.
+  /// Per-request reply timeout. A member that misses it is retried (every
+  /// request is idempotent) up to `op_retries` times, then marked dead and
+  /// the request fails over to the next live member. The *shard* degrades
+  /// only when its whole replica group is lost.
   int op_timeout_ms = 2000;
-  /// Whole-query deadline. When it expires mid-sweep the router returns
-  /// the incumbents it has, flagged partial, with every shard that still
-  /// held live candidates listed as missing.
+  /// Whole-query deadline. When it expires, every shard that has not
+  /// answered is listed as missing and the query returns the pivot
+  /// incumbents plus the answers it has, flagged partial.
   int query_deadline_ms = 10000;
-  /// Extra attempts (beyond the first) for idempotent ops.
+  /// Extra attempts (beyond the first) per member for a request that timed
+  /// out.
   int op_retries = 2;
   /// Exponential backoff between retries: `backoff_base_ms << attempt`,
   /// with each sleep capped at the time remaining until the query
   /// deadline so retries can never sleep a query past its budget.
   int backoff_base_ms = 5;
-  /// Hedging for idempotent Eval ops: when the primary has not replied
-  /// after this long (and a live standby exists), the router races the
-  /// same request to a standby and takes whichever reply lands first —
-  /// either answer is exact, so this only cuts the slow-shard tail.
-  /// Negative disables hedging.
+  /// Hedging floor for shard queries: when the primary has not replied
+  /// after max(this, twice the router's retransmit-style estimate — the
+  /// smoothed primary reply time plus four mean deviations, learnt as TCP
+  /// learns its retransmit timeout) and a live standby exists, the router
+  /// races the whole request to the standby and takes whichever reply
+  /// lands first. Either answer is exact, so this only cuts the
+  /// slow-shard tail; the learnt term keeps a healthy loaded tier from
+  /// hedging its ordinary queueing. Negative disables hedging.
   int hedge_delay_ms = 25;
   /// Respawn dead workers (kill, waitpid, fork, re-Map, ping) before each
   /// query, so one crash degrades one query, not the rest of the session.
-  /// A replica respawned between queries rejoins its group at the next
-  /// query's begin; a replica respawned while *other* queries are in
-  /// flight never joins those sweeps — each query pinned its participants
-  /// (and their connections) at its own begin.
+  /// A replica respawned while other queries are in flight never serves
+  /// them — each query pinned its participants (and their connections)
+  /// when it started.
   bool auto_respawn = true;
   /// > 0 runs a background health loop at this period: ping-based failure
   /// detection plus respawn/re-map of dead replicas. The loop is
   /// drift-free (each tick is scheduled from the previous deadline, not
   /// from when the work finished) and runs *concurrently* with queries —
   /// pings multiplex over the shared connections, and a replica it
-  /// revives only joins queries that begin afterwards. 0 disables the
+  /// revives only serves queries that start afterwards. 0 disables the
   /// thread — the synchronous `auto_respawn` path alone keeps groups at
   /// full strength.
   int health_interval_ms = 0;
@@ -98,29 +99,32 @@ struct ServeOptions {
 /// One query's answer plus its degradation and failover record.
 struct ServeResult {
   std::vector<NeighborResult> neighbors;
+  /// `num_pivots()` row evaluations plus the sum of the answering shards'
+  /// evaluations and abandons (see ServeRouter: not the global sweep's
+  /// count).
   QueryStats stats;
-  /// True when any shard's candidates were not (fully) considered — the
-  /// neighbours are then exact over the surviving shards only, possibly
-  /// improved by evaluations that landed before a shard was lost. A shard
-  /// whose primary failed but whose standby took over is NOT partial.
+  /// True when any shard's candidates were not considered — the
+  /// neighbours are then exact over the pivots and the answering shards
+  /// only. A shard whose primary failed but whose standby answered is NOT
+  /// partial.
   bool partial = false;
   /// True when the admission front end (serve/engine.h) refused the query
   /// under overload instead of running it; neighbors/stats are empty. The
   /// router itself never sheds — only the engine sets this.
   bool shed = false;
-  /// The shards this query is missing, ascending. A shard appears here
-  /// only when its *entire replica group* was lost: dead at query start,
-  /// failed mid-sweep, or still live at the deadline.
+  /// The shards this query is missing, ascending: the whole replica group
+  /// was lost, or the shard had not answered by the query deadline.
   std::vector<std::size_t> missing_shards;
-  /// Primary promotions performed during this query (a standby with
-  /// bit-identical slab state took over mid-sweep; the result stayed
-  /// exact and unflagged).
+  /// Failovers performed during this query: a shard request resent to (or
+  /// answered by) a standby after its primary died. The result stays exact
+  /// and unflagged.
   std::size_t failovers = 0;
-  /// Eval requests that were raced to a standby after the hedge delay.
+  /// Shard requests raced to a standby after the hedge trigger (the field
+  /// keeps its name from the per-candidate protocol it used to count).
   std::size_t hedged_evals = 0;
-  /// Standby replicas evicted because their reply disagreed byte-for-byte
-  /// with the primary's (corrupt state; the primary's reply drove the
-  /// merge).
+  /// Standby replicas evicted because their audited reply disagreed
+  /// byte-for-byte with the primary's (corrupt state; the primary's reply
+  /// was merged) or did not arrive within the op timeout (hung).
   std::size_t replicas_evicted = 0;
 };
 
@@ -134,100 +138,62 @@ struct ServeResult {
 /// manifest (shard shapes + pivot ids + pivot strings), so no process
 /// ever materialises the whole index.
 ///
-/// A query runs the exact `ShardedLaesa` sweep with the per-shard passes
-/// scattered: the router makes every global decision (incumbents,
-/// elimination bound, next candidate — merged over the per-shard compact
-/// results in shard order with strict '<', the lowest-global-index tie
-/// rule), workers run the kernel passes over their segments, and the
-/// elimination radius tightens incrementally between rounds exactly as it
-/// does in process. A healthy router is therefore bit-identical —
-/// neighbours, distances AND QueryStats — to the in-process index,
-/// regardless of worker or replica count.
+/// A read is shard-local exact search, one idempotent request per shard:
+///   1. the router holds the query's global pivot row (it computes it from
+///      the manifest's pivot strings, or the caller supplies it) and
+///      seeds the incumbents with the live pivots' distances;
+///   2. it sends every shard {query, k, row, cap = the k-th pivot
+///      incumbent} (FrameType::kBeginRow);
+///   3. each worker runs the ordinary masked row sweep over its own slice,
+///      then its live delta, every evaluation capped by min(cap, its local
+///      k-th), and answers its local top-k plus its evaluation counts
+///      (ShardReplica::Query);
+///   4. the router merges pivots and shard hits into the top k
+///      (MergeTopK: (distance, id) order, each id once).
+/// Contract: distances are bit-exact (the merge holds the true top-k
+/// distance profile); every id carries its true distance and appears
+/// once; `stats` = num_pivots() row evaluations + the shards' evaluations
+/// and abandons — which is what a reference built from `ShardReplica`
+/// objects over the same snapshot reports, not what the in-process global
+/// sweep reports; among equal-distance neighbours at the k-th boundary,
+/// which one wins is unspecified.
 ///
-/// Concurrency model (the concurrent pipelined router): N caller threads
-/// drive N simultaneous scatter/gather sweeps over the *shared* worker
-/// connections. Every query multiplexes through three mechanisms:
-///   * a router-assigned nonzero query id stamped on every frame; workers
-///     keep per-query sweep slots keyed on it (serve/replica.h), so
-///     interleaved sweeps cannot see each other's slab state;
-///   * a per-connection reactor (serve/reactor.h) that matches replies to
-///     callers by sequence number and coalesces concurrent sends, so N
-///     in-flight queries cost far fewer syscalls than N serialized ones;
-///   * a query context captured at begin: the set of (connection, alive)
-///     participants this query may ever talk to. Failover and hedging act
-///     only inside the context; a replica respawned mid-flight (new
-///     connection) never joins an in-flight sweep — its slab state would
-///     be stale.
-/// Lock hierarchy (outer to inner): `world_mu_` (shared for queries,
-/// exclusive for mutations — sweeps never interleave with Insert/Remove,
-/// which keeps bit-identity and the per-shard journal order), then
-/// `respawn_mu_` (spawn/reap/replay; the health loop takes only this, so
-/// it pings and revives without blocking queries), then each group's
-/// `mu` (membership snapshots, short).
+/// Concurrency: N caller threads query at once over the shared worker
+/// connections. Each query carries a router-assigned nonzero id, each
+/// connection is a reactor (serve/reactor.h) matching replies to callers
+/// by sequence number and coalescing concurrent sends, and each query
+/// pins the (connection, alive) participants it may talk to when it
+/// starts — a replica respawned mid-flight never serves it.
+/// Lock hierarchy (outer to inner): `world_mu_` (shared for reads,
+/// exclusive for mutations — a read never sees half a mutation, which
+/// keeps the per-shard journal order), then `respawn_mu_`
+/// (spawn/reap/replay; the health loop takes only this), then each
+/// group's `mu` (membership snapshots, short).
 ///
-/// Replication model (state-machine): a shard's slab state is a pure
-/// deterministic function of its op sequence (Begin*, then the Step*s),
-/// so the router scatters the begin and every mutating step to ALL live
-/// members of each group. The primary's reply drives the merge; every
-/// standby's reply is checked for byte agreement (a disagreeing standby
-/// is evicted as corrupt). When the primary crashes, times out, or
-/// returns a malformed frame mid-sweep, the router promotes a standby
-/// whose state is bit-identical by construction — the query completes
-/// exact and unflagged. Idempotent Evals go to the primary only and are
-/// hedged to a standby after `hedge_delay_ms`.
-///
-/// Failure semantics (the robustness contract the tests pin down):
-///   * per-op timeouts; idempotent ops retry with exponential backoff
-///     (each sleep capped at the remaining query deadline), sweep-
-///     mutating ops never retry on the same replica;
-///   * a crashed / timed-out / malformed-reply replica is marked dead; if
-///     it was the primary a standby is promoted and the query continues
-///     exact;
-///   * `partial` / `missing_shards` fire only when a whole replica group
-///     is lost; the per-query deadline degrades to partial results
-///     instead of blocking;
+/// Replication:
+///   * mutations are journaled per owner shard and broadcast to every live
+///     member (replies byte-checked; a disagreeing member is dead), and a
+///     respawned member replays the journal before it serves;
+///   * a read goes to the primary only; a member that crashes, returns a
+///     malformed frame or exhausts its retries is marked dead and the same
+///     request fails over to the next live member — exact and unflagged,
+///     counted in `failovers`;
+///   * a primary slow past the hedge trigger is raced by the whole request
+///     on a standby (`hedged_evals`);
+///   * one query in kAuditPeriod (chosen by query id, so fault schedules
+///     stay reproducible) is also sent to a second live member and the two
+///     replies byte-compared; the standby is evicted on disagreement, or
+///     when it misses the op timeout (`replicas_evicted`). A standby sees only audited, hedged or
+///     failed-over requests, and every audited reply is compared, so a
+///     `mangle` fault on a standby is caught;
+///   * past `query_deadline_ms`, shards that have not answered go to
+///     `missing_shards` and the answer is flagged `partial` (a reply that
+///     already arrived is still merged, even when an earlier shard spent
+///     the deadline);
 ///   * dead replicas are respawned (fresh fork + checksum-verified
-///     re-map) and rejoin at a later query's begin — synchronously before
-///     a query when `auto_respawn` is set, and/or from the background
-///     health loop;
-///   * `stats.shards_degraded` counts the missing shards, so healthy
-///     queries still compare bit-equal to in-process stats (0 == 0).
-/// One sweep for the multiplexed driver to run. `query` and `row` are
-/// borrowed — they must stay valid until the job's result is Delivered.
-struct SweepJob {
-  std::string_view query;
-  std::size_t k = 0;
-  /// d(query, pivot p) for every pivot, `num_pivots()` entries.
-  const double* row = nullptr;
-  /// Opaque caller identifier, echoed back through Deliver.
-  std::uint64_t tag = 0;
-};
-
-/// The pull/deliver seam between `ServeRouter::DriveSweeps` and an
-/// admission front end. All methods are invoked from the single driver
-/// thread; implementations that share state with other threads (an
-/// admission queue) do their own locking.
-class SweepFeed {
- public:
-  virtual ~SweepFeed() = default;
-  /// Pops the next job to admit. False when nothing is queued right now
-  /// (the driver parks and asks again later).
-  virtual bool Next(SweepJob* out) = 0;
-  /// True once no further jobs will ever arrive: the driver finishes the
-  /// sweeps it already admitted, delivers them, and returns.
-  virtual bool Finished() = 0;
-  /// One settled job. `bailed` means the fast path refused or aborted it
-  /// (`res` is then empty) and the caller must rerun it on the robust
-  /// per-query path (`KNearestWithRow`). Called with the router's world
-  /// lock held shared — do not call back into the router from here.
-  virtual void Deliver(std::uint64_t tag, ServeResult res, bool bailed) = 0;
-  /// Optional readable fd the driver adds to its park poll, made readable
-  /// by producers when Next() may have new jobs (self-pipe). The driver
-  /// drains it when it polls readable. -1 = none; the driver then relies
-  /// on its short park cap to notice new work.
-  virtual int wake_fd() { return -1; }
-};
-
+///     re-map + journal replay) — synchronously before a query when
+///     `auto_respawn` is set, and/or from the background health loop;
+///   * `stats.shards_degraded` counts the missing shards (0 when healthy).
 class ServeRouter {
  public:
   /// Loads the manifest and spawns `options.replicas` workers per shard.
@@ -242,6 +208,9 @@ class ServeRouter {
   std::size_t size() const { return n_; }
   std::size_t shard_count() const { return shard_sizes_.size(); }
   std::size_t replica_count() const { return replicas_per_shard_; }
+  /// One read in this many (those whose query id it divides) is audited
+  /// against a second live replica (class comment).
+  static constexpr std::uint32_t kAuditPeriod = 8;
   std::size_t num_pivots() const { return pivots_.size(); }
   const std::vector<std::size_t>& pivots() const { return pivots_; }
   /// The manifest's pivot strings (immutable), in pivot-ordinal order —
@@ -252,22 +221,23 @@ class ServeRouter {
   /// The router's distance (immutable after construction).
   const StringDistance& metric() const { return *distance_; }
 
-  /// Lazy (per-query) path — the distributed `ShardedLaesa::Nearest`.
-  /// Thread-safe: concurrent calls multiplex over the shared connections.
+  /// The k nearest live prototypes of `query`: the router evaluates the
+  /// pivot row itself, then runs the shard-local read (class comment).
+  /// Thread-safe: concurrent calls share the worker connections.
   ServeResult Nearest(std::string_view query);
   ServeResult KNearest(std::string_view query, std::size_t k);
 
   /// --- Live mutability (the distributed mutable tier). -------------------
   ///
   /// The router is the source of truth: every op is journaled per owner
-  /// shard before it is replicated to all live members of that shard's
-  /// group (like begins and steps), and a respawned replica is replayed
-  /// from the journal before it rejoins — so a crash never loses a
-  /// mutation the router acknowledged. Ops are idempotent worker-side
-  /// (dedup by stable id) with dedup-stable replies, which keeps both the
-  /// retry path and the group byte-agreement check sound. Mutations take
-  /// the world lock exclusively: they are globally serialized in journal
-  /// order and never interleave with an in-flight sweep.
+  /// shard before it is broadcast to all live members of that shard's
+  /// group, and a respawned replica is replayed from the journal before it
+  /// serves — so a crash never loses a mutation the router acknowledged.
+  /// Ops are idempotent worker-side (dedup by stable id) with dedup-stable
+  /// replies, which keeps both the retry path and the group byte-agreement
+  /// check sound. Mutations take the world lock exclusively: they are
+  /// globally serialized in journal order and never interleave with a
+  /// read.
 
   /// Appends one prototype; returns its stable global id (ids start at
   /// size() and are never reused). The owner shard is id-round-robin.
@@ -275,7 +245,7 @@ class ServeRouter {
 
   /// Tombstones a stable id (base or delta). Returns false when the id is
   /// unknown or already removed. A removed prototype is masked inside the
-  /// workers' sweep compactions — it can never surface as a neighbour.
+  /// workers' seed compactions — it can never surface as a neighbour.
   bool Remove(std::uint64_t id);
 
   /// Live prototypes: base + inserts - removals. (size() stays the frozen
@@ -284,70 +254,19 @@ class ServeRouter {
   /// The id the next Insert will assign.
   std::uint64_t next_insert_id() const;
 
-  /// Batched pivot-stage path — the distributed `*WithPivotRow` pipeline:
-  /// the router evaluates each query's pivot row once (locally, from the
-  /// manifest's pivot strings) and scatters it; workers seed and sweep.
-  /// Equivalent to the in-process pivot-row path per query; stats include
-  /// the row evaluations, as the batch engine counts them.
-  std::vector<ServeResult> NearestBatch(
-      const std::vector<std::string>& queries);
+  /// KNearest over each query in turn (respawning between queries, so one
+  /// lost group costs one partial answer).
   std::vector<ServeResult> KNearestBatch(
       const std::vector<std::string>& queries, std::size_t k);
 
-  /// One pivot-row query whose row the caller already computed (`row[p]` =
-  /// d(query, pivot p), all pivots) — the seam the admission-batching
-  /// front end (serve/engine.h) drives after its blocked query×pivot
-  /// pass. Stats still count the `num_pivots()` row evaluations, exactly
-  /// as the in-process batch engine charges them per query, so results
-  /// stay bit-identical to KNearestBatch of the same query. Throws
-  /// std::invalid_argument when `row.size() != num_pivots()`.
+  /// One read whose pivot row the caller already computed (`row[p]` =
+  /// d(query, pivot p), all pivots) — the seam the admission front end
+  /// (serve/engine.h) drives after its blocked query x pivot pass. Stats
+  /// still count the `num_pivots()` row evaluations, so the result equals
+  /// KNearest's for the same query. Throws std::invalid_argument when
+  /// `row.size() != num_pivots()`.
   ServeResult KNearestWithRow(std::string_view query, std::size_t k,
                               const std::vector<double>& row);
-
-  /// The multiplexed sweep driver — the engine's throughput path. ONE
-  /// caller thread drives every query's row-consuming sweep concurrently
-  /// over the shared connections: each round it advances every sweep that
-  /// has its replies, encodes the whole round's requests per connection,
-  /// flushes each connection with a single write, and parks in one poll
-  /// across all of them. N in-flight sweeps thus cost one wakeup and a
-  /// handful of syscalls per round instead of N parked threads paying two
-  /// context switches per exchange — on a single core this, not parallel
-  /// compute, is where concurrent throughput comes from.
-  ///
-  /// Exactness: per query the driver replays the exact KNearestWithRow
-  /// exchange sequence (begin, eval, step, in the same order with the
-  /// same payloads), so healthy results are bit-identical to it. The fast
-  /// path requires a fully healthy world (every replica alive, no
-  /// mutations pending); a query that cannot run on it — or that hits
-  /// any anomaly mid-sweep (timeout, death, byte disagreement, deadline)
-  /// — abandons its sweep slots and reruns through the robust per-query
-  /// path (retries, failover, hedging, partial flagging), whose result
-  /// is returned instead. `rows[i]` must hold `num_pivots()` entries for
-  /// `queries[i]`; `max_concurrent` caps simultaneously driven sweeps
-  /// (0 = all). Throws std::invalid_argument on mismatched input sizes.
-  std::vector<ServeResult> KNearestManyWithRows(
-      const std::vector<std::string_view>& queries,
-      const std::vector<std::size_t>& ks,
-      const std::vector<const double*>& rows, std::size_t max_concurrent = 0);
-
-  /// The continuous form of the multiplexed driver: pulls jobs from
-  /// `feed` as sweeps settle (admission refills mid-flight, so rounds
-  /// stay full instead of draining to a batch tail), delivers each result
-  /// through the feed, and returns once the feed is Finished and every
-  /// admitted sweep has settled. `max_concurrent` caps in-flight sweeps
-  /// (0 = a default cap). ServeEngine runs this on a dedicated thread.
-  ///
-  /// World-lock fairness: the driver holds the world lock shared while
-  /// sweeps are in flight, which (on a reader-preferring rwlock) would
-  /// starve Insert/Remove (exclusive) under sustained load; writers
-  /// therefore announce themselves (`writers_waiting_`) before blocking,
-  /// and the driver checks the counter each round — when one is waiting
-  /// it stops admitting, drains, and releases with a real gap so the
-  /// writer wins the lock. In read-only steady state the hold is never
-  /// cycled. When the world is not fast-path eligible (a replica down,
-  /// mutations applied), jobs are delivered back `bailed` immediately and
-  /// run robustly on their callers' threads instead.
-  void DriveSweeps(SweepFeed& feed, std::size_t max_concurrent = 0);
 
   /// Heartbeat: pings every replica (retrying per options), marking the
   /// ones that miss as dead. Returns true when all replicas are healthy.
@@ -376,17 +295,17 @@ class ServeRouter {
   /// One shard's replica group. `primary` indexes `members`; promotion
   /// just moves it. Membership is fixed at construction — respawn revives
   /// dead members in place (with a *fresh* connection, so queries that
-  /// pinned the old one keep failing cleanly instead of talking to a
-  /// process with no slab state). `mu` guards members and primary; it is
-  /// the innermost lock and is never held across an exchange.
+  /// pinned the old one keep failing cleanly instead of talking to the
+  /// new process). `mu` guards members and primary; it is the innermost
+  /// lock and is never held across an exchange.
   struct Group {
     mutable std::mutex mu;
     std::vector<Replica> members;
     std::size_t primary = 0;
   };
 
-  /// One group member as pinned by a query at begin: the connection this
-  /// query (and only this query's failover/hedging) may use, plus the
+  /// One group member as pinned by a query when it starts: the connection
+  /// this query (and only this query's failover/hedging) may use, plus the
   /// query-local alive flag.
   struct Participant {
     std::shared_ptr<Conn> conn;
@@ -396,12 +315,9 @@ class ServeRouter {
     std::vector<Participant> members;
     std::size_t primary = 0;
 
-    bool AnyAlive() const {
-      for (const Participant& m : members) {
-        if (m.alive) return true;
-      }
-      return false;
-    }
+    /// The `turn`-th (mod the count) live member other than `skip`, or
+    /// members.size() when there is none.
+    std::size_t Standby(std::size_t skip, std::size_t turn) const;
   };
   /// A query's pinned world: its id and its participant snapshot.
   struct QueryCtx {
@@ -409,14 +325,24 @@ class ServeRouter {
     std::vector<GroupCtx> groups;
   };
 
-  /// Per-query view of one shard's sweep state, mirrored from its
-  /// primary's replies.
-  struct ShardView {
-    bool active = false;
-    std::size_t live = 0;
-    std::size_t live_pivots = 0;
-    SweepCompactResult last;
+  /// One in-flight shard request: the pinned member it went to and the
+  /// sequence number its reply will carry.
+  struct Leg {
+    std::size_t r = 0;
+    std::uint32_t seq = 0;
+    bool pending = false;
   };
+  /// One shard's part of a read: the request on its current primary
+  /// (`lead`) and, for an audited query, the same request on a standby
+  /// (`side`, sent at scatter) — or, once the hedge trigger passes, the
+  /// hedge.
+  struct ShardCall {
+    Leg lead;
+    Leg side;
+    bool audit = false;
+    std::int64_t attempt_start = 0;
+  };
+  enum class LegState { kAnswered, kPending, kFailed };
 
   /// Spawn/reap run under `respawn_mu_`.
   void SpawnReplica(std::size_t s, std::size_t r,
@@ -434,9 +360,6 @@ class ServeRouter {
 
   /// New query id (nonzero) + participant snapshot under each group's mu.
   void SnapshotCtx(QueryCtx* ctx) const;
-  /// Fire-and-forget kEndSweep to every pinned participant whose
-  /// connection still works: retires the workers' per-query sweep slots.
-  void EndSweeps(const QueryCtx& ctx);
 
   /// If the ctx group's primary is dead, promote the first live ctx
   /// member (in member order — deterministic), mirroring to the global
@@ -448,44 +371,51 @@ class ServeRouter {
   /// global primary.
   void Promote(QueryCtx& ctx, std::size_t s, std::size_t r);
 
-  /// One request/reply exchange with the query's pinned replica (s, r).
-  /// Retries (with backoff, each sleep capped at the remaining time
-  /// before `deadline_ms`; pass -1 for no deadline) only when
-  /// `retryable`; marks the replica dead on any unrecoverable failure.
-  /// Replies with stale sequence numbers (from a timed-out earlier
-  /// attempt) are discarded by the reactor.
-  bool SendRecv(QueryCtx& ctx, std::size_t s, std::size_t r, FrameType type,
-                const std::vector<char>& payload, std::vector<char>* reply,
-                int timeout_ms, bool retryable, std::int64_t deadline_ms);
-  /// The control-plane (query id 0) form against the *current* global
-  /// member — ping, respawn replay, mutation replication. Caller holds
-  /// `respawn_mu_`, so membership is stable across the exchange.
+  /// The control-plane (query id 0) exchange against the *current* global
+  /// member — ping, respawn replay, mutation replication — retried like a
+  /// read. Caller holds `respawn_mu_`, so membership is stable across the
+  /// exchange.
   bool ControlSendRecv(std::size_t s, std::size_t r, FrameType type,
                        const std::vector<char>& payload,
-                       std::vector<char>* reply, bool retryable);
+                       std::vector<char>* reply);
 
-  /// Scatters one identical request to every live pinned member of every
-  /// active shard (the state-machine replication step), gathers, then
-  /// reconciles each group: the primary's reply drives (landing in
-  /// `replies[s]`), standbys are byte-checked against it (disagreement =
-  /// eviction), and a failed primary is replaced by a standby that
-  /// answered. Shards whose whole group failed are flipped inactive in
-  /// `views` and appended to `missing`.
-  void Broadcast(QueryCtx& ctx, FrameType type,
-                 const std::vector<char>& payload, bool retryable,
-                 int timeout_ms, std::int64_t deadline_ms,
-                 std::vector<ShardView>& views,
-                 std::vector<std::vector<char>>& replies,
-                 std::vector<std::size_t>& missing, ServeResult* res);
+  /// Sends the shard request to pinned member `r` of shard `s` as `leg`.
+  /// False (member marked dead) when the send fails.
+  bool SendLeg(QueryCtx& ctx, std::size_t s, std::size_t r,
+               const std::vector<char>& payload, Leg* leg);
+  /// Waits up to `wait_ms` for `leg`'s reply. kAnswered hands back the
+  /// reply payload in `bytes`; kFailed means the member crashed, answered
+  /// kError or broke the stream, and is marked dead.
+  LegState WaitLeg(QueryCtx& ctx, std::size_t s, Leg* leg, int wait_ms,
+                   std::vector<char>* bytes);
+  void CancelLeg(QueryCtx& ctx, std::size_t s, Leg* leg);
+  /// Decodes member `r`'s reply bytes into shard `s`'s answer, checking
+  /// that every hit is an id the shard owns; marks the member dead and
+  /// returns false otherwise.
+  bool Accept(QueryCtx& ctx, std::size_t s, std::size_t r,
+              const std::vector<char>& bytes, std::size_t k,
+              ShardAnswer* out);
+  /// Starts shard `s`'s part of a read: the request to its primary (failing
+  /// over while sends fail) and, when `audit` and a live standby exists,
+  /// to that standby. False when the group has no live member.
+  bool ScatterShard(QueryCtx& ctx, std::size_t s,
+                    const std::vector<char>& payload, bool audit,
+                    ShardCall* call, ServeResult* res);
+  /// Gathers shard `s`'s answer: retries, failover, hedging and the audit
+  /// comparison, all bounded by `deadline_ms`. False when the shard is
+  /// missing (group lost or deadline passed).
+  bool GatherShard(QueryCtx& ctx, std::size_t s,
+                   const std::vector<char>& payload, std::size_t k,
+                   std::int64_t deadline_ms, ShardCall* call,
+                   ShardAnswer* out, ServeResult* res);
+  /// The hedge trigger: max(hedge_delay_ms, 2 x (smoothed lead reply time
+  /// + four mean deviations)), and the update feeding it.
+  int HedgeTriggerMs() const;
+  void RecordLeadReply(std::int64_t ms);
 
-  /// One idempotent read (`kEval` or `kDeltaScan`) against shard `s`:
-  /// primary first, hedged to a standby after `hedge_delay_ms`, first
-  /// valid reply wins — both ops are pure functions of the shard's state,
-  /// so either answer is exact. Falls back to plain retries when the group
-  /// has no standby or hedging is off.
-  bool GroupEval(QueryCtx& ctx, std::size_t s, FrameType type,
-                 const std::vector<char>& payload, std::vector<char>* reply,
-                 std::int64_t deadline_ms, ServeResult* res);
+  /// The one read path. Caller holds `world_mu_` shared; `row` has
+  /// num_pivots() entries.
+  ServeResult Read(std::string_view query, std::size_t k, const double* row);
 
   /// One journaled mutation, replicated to every live member of the owner
   /// shard's group.
@@ -501,15 +431,6 @@ class ServeRouter {
   /// (replica already marked dead) when any op fails to apply.
   bool ReplayMutations(std::size_t s, std::size_t r);
 
-  /// The delta-scan phase both query paths share: scatters a bounded scan
-  /// to every shard holding live delta entries and strict-merges the
-  /// gathered hits into `best` in global NeighborLess order.
-  void DeltaPhase(QueryCtx& ctx, std::string_view query, std::size_t k,
-                  std::int64_t deadline, std::vector<ShardView>& views,
-                  std::vector<NeighborResult>& best,
-                  std::uint64_t* computations, std::uint64_t* abandons,
-                  ServeResult* res);
-
   std::size_t ShardOf(std::size_t global) const;
   int RemainingMs(std::int64_t deadline_ms) const;
 
@@ -523,21 +444,6 @@ class ServeRouter {
   /// group's primary at a live member. Caller holds `respawn_mu_`.
   std::size_t RespawnDeadLocked(std::size_t limit);
   void HealthLoop();
-
-  ServeResult QueryLazy(QueryCtx& ctx, std::string_view query, std::size_t k,
-                        double slack);
-  /// The pivot-row sweep given an already-computed row (`row` has
-  /// num_pivots() entries). Charges the row evaluations to the stats.
-  ServeResult QueryRow(QueryCtx& ctx, std::string_view query, std::size_t k,
-                       const double* row);
-  /// One robust pivot-row query (respawn check, fresh ctx, QueryRow,
-  /// sweep-slot cleanup). Caller holds `world_mu_` shared.
-  ServeResult RobustRowQuery(std::string_view query, std::size_t k,
-                             const double* row);
-  /// True when the multiplexed fast path may run: no tombstones, no
-  /// delta entries, every replica alive on a healthy connection. Caller
-  /// holds `world_mu_` shared.
-  bool FastWorldLocked() const;
 
   // Manifest state (immutable after construction — read lock-free).
   std::size_t n_ = 0;
@@ -559,8 +465,8 @@ class ServeRouter {
   mutable std::atomic<std::uint32_t> qid_counter_{0};
 
   // Mutable-tier bookkeeping (the router-side mirror of the workers'
-  // delta/tombstone state; drives the masked begin, the k clamp, pivot
-  // seeding, and respawn replay). Guarded by `world_mu_`.
+  // delta/tombstone state; drives the k clamp, pivot seeding, and respawn
+  // replay). Guarded by `world_mu_`.
   std::uint64_t next_insert_id_ = 0;       // initialised to n_
   std::vector<std::uint64_t> base_tombs_;  // bitmap over base ids; lazy
   std::vector<std::size_t> shard_dead_;    // base tombstones per shard
@@ -569,22 +475,20 @@ class ServeRouter {
   std::vector<std::uint64_t> dead_delta_ids_;  // sorted, Remove dedup
   std::vector<std::vector<MutationOp>> shard_ops_;  // per-shard journal
 
-  /// Queries hold this shared (N sweeps in flight at once); mutations
-  /// hold it exclusive — a mutation never interleaves with a sweep, which
-  /// preserves bit-identity and the per-shard journal/writer order.
+  /// Reads hold this shared (N in flight at once); mutations hold it
+  /// exclusive — a mutation never interleaves with a read, which keeps
+  /// the per-shard journal/writer order.
   mutable std::shared_mutex world_mu_;
-  /// Writers about to block on `world_mu_` announce themselves here
-  /// (incremented before the exclusive lock call, decremented once it is
-  /// held). glibc's rwlock is reader-preferring, so a continuously-held
-  /// shared lock — which is exactly what DriveSweeps wants in steady
-  /// state — would starve writers forever; the driver instead checks this
-  /// counter each round and backs off (drain, release, yield) only when a
-  /// writer is actually waiting.
-  std::atomic<std::size_t> writers_waiting_{0};
   /// Serializes spawn/reap/replay (and the fork itself). Journal appends
   /// hold world-exclusive AND this, so holding either is enough to read
   /// the journal. The health loop takes only this — never the world lock.
   mutable std::mutex respawn_mu_;
+
+  /// Reply-time estimate behind the hedge trigger (RecordLeadReply).
+  mutable std::mutex clock_mu_;
+  bool clock_primed_ = false;
+  double srtt_ms_ = 0.0;
+  double rttvar_ms_ = 0.0;
 
   std::mutex health_mu_;  // stop flag + cv only
   std::condition_variable health_cv_;

@@ -21,30 +21,6 @@
 namespace cned {
 namespace {
 
-/// Request class for fault matching (serve/fault.h).
-const char* OpClass(FrameType type) {
-  switch (type) {
-    case FrameType::kPing:
-      return "ping";
-    case FrameType::kBeginLazy:
-    case FrameType::kBeginRow:
-      return "begin";
-    case FrameType::kEval:
-      return "eval";
-    case FrameType::kStep:
-    case FrameType::kStepRow:
-      return "step";
-    case FrameType::kInsert:
-      return "insert";
-    case FrameType::kRemove:
-      return "remove";
-    case FrameType::kDeltaScan:
-      return "scan";
-    default:
-      return "other";
-  }
-}
-
 void SleepMs(std::uint64_t ms) {
   struct timespec ts;
   ts.tv_sec = static_cast<time_t>(ms / 1000);
@@ -69,13 +45,11 @@ void EncodeError(std::vector<char>* out, std::uint32_t seq, std::uint32_t qid,
 
 // The worker is a single-threaded drain loop: read whatever the socket
 // holds, process EVERY complete buffered request, then flush all replies
-// with one send. Under one in-flight query this is byte-for-byte the old
-// one-frame-at-a-time loop; under the router's multiplexed load it is the
-// serving tier's throughput lever — N interleaved queries cost one worker
-// wakeup and two syscalls per batch instead of N of each. Sweep state is
-// per-query-id (ShardReplica slots), so interleaved sweeps can't see each
-// other. A crash fault inside a batch loses the batch's unflushed replies
-// too — exactly the kill -9 semantics the router already handles.
+// with one send — concurrent queries' requests that arrive together cost
+// one wakeup and two syscalls. Shard queries are stateless, so requests
+// from different queries cannot see each other. A crash fault inside a
+// batch loses the batch's unflushed replies too — exactly the kill -9
+// semantics the router already handles.
 int RunShardWorker(int fd, const WorkerConfig& config) {
   FaultInjector injector(FaultSpec::Parse(config.fault_spec),
                          config.shard_id, config.replica_id);
@@ -116,15 +90,7 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
     }
     const FrameType type = static_cast<FrameType>(req.type);
 
-    if (type == FrameType::kEndSweep) {
-      // Fire-and-forget cleanup: no reply, and exempt from fault injection
-      // — it is not a replicated state-machine op, so it must not consume
-      // a deterministic schedule's nth/every counts.
-      if (replica != nullptr) replica->EndSweep(req.qid);
-      continue;
-    }
-
-    const FaultInjector::Action action = injector.OnRequest(OpClass(type));
+    const FaultInjector::Action action = injector.OnRequest(FaultOpClass(type));
     if (action.crash) _exit(137);  // the kill -9 stand-in
     if (action.delay_ms > 0) SleepMs(action.delay_ms);
     if (action.drop) continue;
@@ -151,71 +117,18 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           reply.U64(config.replica_id);
           break;
         }
-        case FrameType::kBeginLazy: {
-          const std::string query = r.Str();
-          const std::uint32_t masked = r.U32();
-          if (!r.Done()) throw std::runtime_error("malformed BeginLazy");
-          const SweepCompactResult pass =
-              replica->BeginLazy(req.qid, query, masked != 0);
-          if (masked != 0) {
-            // Mutations exist somewhere: the router needs this segment's
-            // post-mask survivors to pick a live start.
-            EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          } else {
-            // Legacy reply shape — healthy immutable deployments stay
-            // byte-identical on the wire.
-            reply.U64(replica->live(req.qid));
-            reply.U64(replica->live_pivots(req.qid));
-          }
-          break;
-        }
         case FrameType::kBeginRow: {
-          const std::string query = r.Str();
-          const double seed_bound = r.F64();
-          const std::uint64_t np = r.U64();
-          const char* row_bytes =
-              r.ok() && np == replica->num_pivots()
-                  ? r.Raw(np * sizeof(double))
-                  : nullptr;
-          if (row_bytes == nullptr || !r.Done()) {
-            throw std::runtime_error("malformed BeginRow");
+          std::string query;
+          std::uint64_t k = 0;
+          double cap = 0.0;
+          std::vector<double> row;
+          if (!DecodeShardQuery(r, replica->num_pivots(), &query, &k, &cap,
+                                &row)) {
+            throw std::runtime_error("malformed shard query");
           }
-          // The row sits at an arbitrary offset inside the frame payload
-          // (behind the length-prefixed query); copy it out so the sweep
-          // kernels get a properly aligned double array.
-          std::vector<double> row(np);
-          std::memcpy(row.data(), row_bytes, np * sizeof(double));
-          const SweepCompactResult pass =
-              replica->BeginRow(req.qid, query, row.data(), seed_bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          break;
-        }
-        case FrameType::kEval: {
-          const std::uint64_t id = r.U64();
-          const double cap = r.F64();
-          if (!r.Done()) throw std::runtime_error("malformed Eval");
-          reply.F64(replica->Eval(req.qid, id, cap));
-          break;
-        }
-        case FrameType::kStep: {
-          const std::uint32_t skip = r.U32();
-          const std::int32_t rank = r.I32();
-          const double d = r.F64();
-          const double slack = r.F64();
-          const double bound = r.F64();
-          if (!r.Done()) throw std::runtime_error("malformed Step");
-          const SweepCompactResult pass =
-              replica->Step(req.qid, skip, rank, d, slack, bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
-          break;
-        }
-        case FrameType::kStepRow: {
-          const std::uint32_t skip = r.U32();
-          const double bound = r.F64();
-          if (!r.Done()) throw std::runtime_error("malformed StepRow");
-          const SweepCompactResult pass =
-              replica->StepRow(req.qid, skip, bound);
-          EncodeCompact(reply, pass, replica->live_pivots(req.qid));
+          EncodeShardAnswer(reply,
+                            replica->Query(query, static_cast<std::size_t>(k),
+                                           row.data(), cap));
           break;
         }
         case FrameType::kInsert: {
@@ -237,25 +150,6 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
           reply.U64(replica->total_dead());
           break;
         }
-        case FrameType::kDeltaScan: {
-          const std::string query = r.Str();
-          const double cap0 = r.F64();
-          const std::uint64_t k = r.U64();
-          if (!r.Done()) throw std::runtime_error("malformed DeltaScan");
-          std::vector<NeighborResult> hits;
-          std::uint64_t comps = 0;
-          std::uint64_t abandons = 0;
-          replica->DeltaScan(query, cap0, static_cast<std::size_t>(k), &hits,
-                             &comps, &abandons);
-          reply.U64(hits.size());
-          for (const NeighborResult& h : hits) {
-            reply.U64(h.index);
-            reply.F64(h.distance);
-          }
-          reply.U64(comps);
-          reply.U64(abandons);
-          break;
-        }
         default: {
           throw std::runtime_error("unexpected frame type " +
                                    std::to_string(req.type));
@@ -267,7 +161,7 @@ int RunShardWorker(int fd, const WorkerConfig& config) {
     }
 
     // A mangled reply is byte-wrong but CRC-valid: the frame layer cannot
-    // catch it, only the router's replica agreement check can.
+    // catch it, only the router's reply validation and replica audit can.
     if (action.mangle && !reply.buf.empty()) reply.buf[0] ^= 0x01;
     if (ok) {
       EncodeFrame(&outbox, FrameType::kReply, req.seq, req.qid,

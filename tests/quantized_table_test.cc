@@ -5,9 +5,11 @@
 //     is exactly the f64 distance (admissible bounds never eliminate a
 //     true neighbour; the index is compared tie-tolerantly, since a looser
 //     bound may legitimately surface a different member of an exact tie);
-//   * within a precision — flat, sharded, mapped and distributed
-//     (fork-per-replica ServeRouter, R=2) answers are bit-identical
-//     INCLUDING QueryStats, under every available sweep-kernel variant.
+//   * within a precision — flat, sharded and mapped answers are
+//     bit-identical INCLUDING QueryStats, under every available
+//     sweep-kernel variant; distributed answers (fork-per-replica
+//     ServeRouter, R=2) equal the shard-local reference over the same
+//     quantized snapshot, stats included.
 //
 // The second contract is what makes quantization deployable: a mixed fleet
 // (AVX2 primaries, scalar standbys, mapped snapshots) at one precision
@@ -34,6 +36,7 @@
 #include "search/table_quant.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/serve_test_util.h"
 #include "tests/snapshot_test_util.h"
 
 namespace cned {
@@ -211,25 +214,14 @@ TEST(QuantizedTableTest, DistributedReplicasServeQuantizedBitIdentically) {
     ServeRouter router(dir.path, opt);
     ASSERT_EQ(router.shard_count(), 3u);
     ASSERT_EQ(router.replica_count(), 2u);
+    const ShardLocalReference shard_local(dir.path, index, "dE");
 
     for (const auto& q : queries) {
       const std::string ctx =
           std::string(TablePrecisionName(prec)) + " q=" + q;
-      QueryStats want_stats;
-      const auto want = index.KNearest(q, 3, &want_stats);
       const ServeResult got = router.KNearest(q, 3);
-      EXPECT_FALSE(got.partial) << ctx;
-      EXPECT_TRUE(got.missing_shards.empty()) << ctx;
-      ASSERT_EQ(got.neighbors.size(), want.size()) << ctx;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.neighbors[i].index, want[i].index) << ctx << " i=" << i;
-        EXPECT_EQ(got.neighbors[i].distance, want[i].distance)
-            << ctx << " i=" << i;
-      }
-      EXPECT_TRUE(got.stats == want_stats)
-          << ctx << ": distributed " << got.stats.distance_computations
-          << " computations vs in-process "
-          << want_stats.distance_computations;
+      ExpectServedExact(got, index.KNearest(q, 3),
+                        ReferenceRead(shard_local, q, 3), ctx);
 
       // And the distributed quantized answer is the exact f64 answer.
       QueryStats ref_stats;

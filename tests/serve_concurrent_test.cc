@@ -1,16 +1,15 @@
 // The concurrent serving tier's contract under real thread-level
 // concurrency, pinned over forked worker processes:
 //
-//   1. Concurrent = bit-identical. Eight closed-loop client threads
-//      hammering one ServeEngine — whose persistent driver multiplexes
-//      all their sweeps over the shared worker connections — get answers
-//      (neighbours, distances AND QueryStats) bit-identical to the
-//      in-process ShardedLaesa pivot-row path, even while injected
-//      faults kill and mangle standby replicas mid-query.
+//   1. Concurrent = exact. Eight closed-loop client threads hammering one
+//      ServeEngine — which batches their pivot stages while their
+//      reads share the worker connections — get distances bit-equal to
+//      the in-process ShardedLaesa and neighbours and QueryStats equal to
+//      the shard-local reference, even while injected faults kill and
+//      mangle standby replicas under the sampled audit.
 //   2. Mixed ops never flag while any replica survives. Concurrent
-//      Nearest/KNearest/Insert/Remove (mutations force the robust
-//      per-query path and make writers contend for the world lock the
-//      driver holds shared) produce no partial, no shed, and no missing
+//      Nearest/KNearest/Insert/Remove (writers contend for the world lock
+//      readers hold shared) produce no partial, no shed, and no missing
 //      shards, because every injected fault targets replica=1 only —
 //      each group always keeps a live member.
 //   3. The mutations land: after the storm quiesces, every inserted and
@@ -18,9 +17,8 @@
 //      is not.
 //
 // This test is wired into the ASan and TSan CI jobs: it is the one that
-// races the admission queue, the sweep driver's world-lock hold, the
-// per-group failover locks, and the connection reactor against each
-// other.
+// races the admission queue, the world lock, the per-group failover
+// locks, and the connection reactor against each other.
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
@@ -34,52 +32,18 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
-#include "datasets/dictionary_gen.h"
-#include "datasets/perturb.h"
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/sharded_laesa.h"
 #include "serve/engine.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/serve_test_util.h"
 
 namespace cned {
 namespace {
 
 constexpr std::size_t kThreads = 8;
-
-struct Workload {
-  std::vector<std::string> protos;
-  std::vector<std::string> queries;
-};
-
-Workload MakeWorkload(std::size_t words, std::size_t queries,
-                      std::uint64_t seed) {
-  DictionaryOptions opt;
-  opt.word_count = words;
-  opt.seed = seed;
-  Workload w;
-  w.protos = GenerateDictionary(opt).strings;
-  Rng rng(seed + 1);
-  w.queries = MakeQueries(w.protos, queries, 2, Alphabet::Latin(), rng);
-  return w;
-}
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_conc_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
 
 /// Results may interleave with concurrent mutations, so only invariants
 /// hold: never flagged, never shed, sorted finite distances.
@@ -100,11 +64,12 @@ void ExpectWellFormed(const ServeResult& res, std::size_t k,
 }
 
 TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
-  const Workload w = MakeWorkload(300, 16, 9100);
+  const ServeWorkload w = MakeServeWorkload(300, 16, 9100);
   ShardedPrototypeStore store(w.protos, 4);
   ShardedLaesa index(store, MakeDistance("dE"), 8, /*first_pivot=*/0);
-  TempDir dir;
+  ServeTempDir dir;
   SaveServingSnapshot(index, dir.path);
+  const ShardLocalReference reference(dir.path, index, "dE");
 
   ServeOptions opt;
   opt.distance = "dE";
@@ -113,14 +78,18 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   opt.op_retries = 2;
   opt.backoff_base_ms = 2;
   opt.auto_respawn = true;
-  // Standbys only (replica=1): a crash mid-step, then a mangled step
-  // reply (state-machine disagreement, standby evicted). Every group
-  // keeps its primary, so nothing may ever flag — and nothing may
-  // perturb a single reported bit.
+  // Standbys only (replica=1), which see only the audited eighth of the
+  // queries: a crash, a mangled reply (audit disagreement, standby
+  // evicted), then another crash. Every group keeps its primary, so
+  // nothing may ever flag — and nothing may perturb a single reported
+  // bit.
   opt.fault_spec =
-      "crash:shard=1,op=step,nth=25,replica=1|"
-      "mangle:shard=2,op=step,nth=40,replica=1|"
-      "crash:shard=0,op=step,nth=90,replica=1";
+      "crash:shard=1,op=query,nth=5,replica=1|"
+      "mangle:shard=2,op=query,nth=9,replica=1|"
+      "crash:shard=0,op=query,nth=20,replica=1";
+  // Only audits reach the standbys, so the mangle is always an audited
+  // reply (under a sanitizer a hedge could otherwise take it).
+  opt.hedge_delay_ms = -1;
   ServeRouter router(dir.path, opt);
 
   ServeEngineOptions eopt;
@@ -130,19 +99,18 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
   eopt.admission_timeout_ms = 60000;  // exactness phase must never shed
   ServeEngine engine(router, eopt);
 
-  // In-process references, computed up front (the row path, as the
-  // engine's pivot stage computes it).
+  // References, computed up front: in-process distances, shard-local
+  // neighbours and stats.
   const std::size_t k = 5;
-  std::vector<std::vector<NeighborResult>> want(w.queries.size());
-  std::vector<QueryStats> want_stats(w.queries.size());
-  std::vector<double> row(index.pivot_count());
+  std::vector<std::vector<NeighborResult>> inproc(w.queries.size());
+  std::vector<ServeResult> want(w.queries.size());
   for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    index.ComputePivotRow(w.queries[i], row.data(), &want_stats[i]);
-    want[i] =
-        index.KNearestWithPivotRow(w.queries[i], k, row.data(), &want_stats[i]);
+    inproc[i] = index.KNearest(w.queries[i], k);
+    want[i] = ReferenceRead(reference, w.queries[i], k);
   }
 
   std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> evicted{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -153,29 +121,33 @@ TEST(ServeConcurrentTest, EightClientsStayExactWhileStandbysDieAndMangle) {
           const ServeResult got = engine.KNearest(w.queries[qi], k);
           bool same = !got.shed && !got.partial &&
                       got.missing_shards.empty() &&
-                      got.neighbors.size() == want[qi].size() &&
-                      got.stats == want_stats[qi];
-          for (std::size_t j = 0; same && j < want[qi].size(); ++j) {
-            same = got.neighbors[j].index == want[qi][j].index &&
-                   got.neighbors[j].distance == want[qi][j].distance;
+                      got.neighbors.size() == inproc[qi].size() &&
+                      got.neighbors.size() == want[qi].neighbors.size() &&
+                      got.stats == want[qi].stats;
+          for (std::size_t j = 0; same && j < inproc[qi].size(); ++j) {
+            same = got.neighbors[j].distance == inproc[qi][j].distance &&
+                   got.neighbors[j].index == want[qi].neighbors[j].index &&
+                   got.neighbors[j].distance == want[qi].neighbors[j].distance;
           }
           if (!same) mismatches.fetch_add(1);
+          evicted.fetch_add(got.replicas_evicted);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u)
-      << "concurrent results diverged from in-process ShardedLaesa";
+      << "concurrent results diverged from the references";
+  EXPECT_GE(evicted.load(), 1u) << "the audit never caught the mangle";
   EXPECT_GE(engine.batched_queries(), kThreads * 3 * w.queries.size());
   EXPECT_EQ(engine.shed_queries(), 0u);
 }
 
 TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
-  const Workload w = MakeWorkload(300, 12, 9200);
+  const ServeWorkload w = MakeServeWorkload(300, 12, 9200);
   ShardedPrototypeStore store(w.protos, 4);
   ShardedLaesa index(store, MakeDistance("dE"), 8, /*first_pivot=*/0);
-  TempDir dir;
+  ServeTempDir dir;
   SaveServingSnapshot(index, dir.path);
 
   ServeOptions opt;
@@ -185,13 +157,14 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
   opt.op_retries = 2;
   opt.backoff_base_ms = 2;
   opt.auto_respawn = true;
-  // Standby-only churn while mutations fly: a crash, a mangle, and a
-  // recurring slow primary eval (every 97th) to keep the hedging path
-  // hot. Groups always keep a live member, so nothing may flag.
+  // Standby-only churn while mutations fly: a crash and a mangle on the
+  // audited requests, and a recurring slow primary (every 7th query on
+  // shard 2) to keep the hedging path hot. Groups always keep a live
+  // member, so nothing may flag.
   opt.fault_spec =
-      "crash:shard=3,op=step,nth=30,replica=1|"
-      "mangle:shard=1,op=step,nth=55,replica=1|"
-      "delay:shard=2,op=eval,replica=0,ms=30,every=97";
+      "crash:shard=3,op=query,nth=3,replica=1|"
+      "mangle:shard=1,op=query,nth=5,replica=1|"
+      "delay:shard=2,op=query,replica=0,ms=60,every=7";
   ServeRouter router(dir.path, opt);
 
   ServeEngineOptions eopt;
@@ -203,8 +176,7 @@ TEST(ServeConcurrentTest, MixedQueryInsertRemoveStormNeverFlags) {
 
   // Each thread interleaves queries with inserting its own unique
   // strings and removing every second one of them. Mutations take the
-  // world lock exclusive — the announced-writer backoff in the sweep
-  // driver is what keeps them from starving behind its shared hold.
+  // world lock exclusive against the readers' shared holds.
   std::mutex failures_mu;
   std::vector<std::string> failures;
   std::vector<std::vector<std::pair<std::uint64_t, std::string>>> kept(

@@ -1,9 +1,11 @@
-// The distributed serving tier's two contracts, pinned end to end over
-// real forked worker processes:
+// The distributed serving tier's contracts, pinned end to end over real
+// forked worker processes:
 //
-//   1. Healthy = bit-identical. A router over 1/2/4/8 workers returns the
-//      same neighbours, the same distances AND the same QueryStats as the
-//      in-process ShardedLaesa, on both the lazy and the pivot-row path.
+//   1. Healthy = exact. A router over 1/2/4/8 workers returns distances
+//      bit-equal to the in-process ShardedLaesa, and neighbours and
+//      QueryStats equal to the shard-local reference
+//      (`ShardLocalReference`, serve/replica.h): one `ShardReplica::Query`
+//      per shard under the router's seed cap, merged by `MergeTopK`.
 //   2. Degraded = correctly flagged. Crashed (kill -9), unresponsive,
 //      and corrupt-stream workers cost exactly their shard: results come
 //      back partial with the missed shards named, surviving distances
@@ -11,18 +13,18 @@
 //      schedule over the same queries reproduces identical partial
 //      results run to run.
 //   3. Replicated = exact through failure. With a replica group of R=2
-//      per shard (the default), losing any shard's *primary* mid-sweep —
-//      injected crash or a real kill -9 — promotes the standby, whose
-//      slab state is bit-identical by state-machine replication, and the
-//      query completes exact and UNFLAGGED. Only losing a whole group
-//      degrades. Slow primaries are hedged on Evals; disagreeing
-//      standbys are evicted; the health loop revives dead replicas in
-//      the background.
+//      per shard (the default), losing any shard's *primary* — injected
+//      crash, a mangled reply or a real kill -9 — resends the same
+//      request to the standby, and the query completes exact and
+//      UNFLAGGED. Only losing a whole group degrades. Slow primaries are
+//      hedged; standbys that disagree in (or hang through) the sampled
+//      audit are evicted;
+//      the health loop revives dead replicas in the background.
 //
-// Fault directives without a `replica=` selector fire on every group
-// member (identical op sequences), so the contract-2 tests above keep
-// their exact semantics at R=2: the injected fault takes out the whole
-// group.
+// Every fault targets `op=query`, the one read request. A standby only
+// receives audited, hedged or failed-over requests, so it counts its own
+// requests: a directive without `replica=` and nth=1 takes out a whole
+// group within one query (the primary's request, then the failover's).
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -38,9 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "datasets/dictionary_gen.h"
-#include "datasets/perturb.h"
 #include "datasets/sharded_prototype_store.h"
 #include "distances/registry.h"
 #include "search/sharded_laesa.h"
@@ -48,55 +47,59 @@
 #include "search/table_quant.h"
 #include "serve/router.h"
 #include "serve/shard_snapshot.h"
+#include "tests/serve_test_util.h"
 
 namespace cned {
 namespace {
 
-struct Workload {
-  std::vector<std::string> protos;
-  std::vector<std::string> queries;
-};
+using Workload = ServeWorkload;
+using TempDir = ServeTempDir;
 
 Workload MakeWorkload(std::size_t words, std::size_t queries,
                       std::uint64_t seed) {
-  DictionaryOptions opt;
-  opt.word_count = words;
-  opt.seed = seed;
-  Workload w;
-  w.protos = GenerateDictionary(opt).strings;
-  Rng rng(seed + 1);
-  w.queries = MakeQueries(w.protos, queries, 2, Alphabet::Latin(), rng);
-  return w;
+  return MakeServeWorkload(words, queries, seed);
 }
 
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/cned_serve_XXXXXX";
-    char* p = mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path = p;
-  }
-  ~TempDir() {
-    if (!path.empty()) std::filesystem::remove_all(path);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-};
-
-/// In-process reference index + its serving snapshot on disk.
+/// In-process reference index + its serving snapshot on disk + the
+/// shard-local reference over that snapshot.
 struct Deployment {
   TempDir dir;
+  std::vector<std::string> protos;
   std::unique_ptr<ShardedPrototypeStore> store;
   std::unique_ptr<ShardedLaesa> index;
+  std::unique_ptr<ShardLocalReference> ref;
 
-  Deployment(const std::vector<std::string>& protos, std::size_t shards,
+  Deployment(const std::vector<std::string>& p, std::size_t shards,
              std::size_t pivots,
-             TablePrecision precision = DefaultTablePrecision()) {
+             TablePrecision precision = DefaultTablePrecision())
+      : protos(p) {
     store = std::make_unique<ShardedPrototypeStore>(protos, shards);
     index = std::make_unique<ShardedLaesa>(*store, MakeDistance("dE"), pivots,
                                            /*first_pivot=*/0, precision);
     SaveServingSnapshot(*index, dir.path);
+    ref = std::make_unique<ShardLocalReference>(dir.path, *index, "dE");
+  }
+
+  /// The full healthy contract for `got` = a read of (q, k).
+  void Expect(const ServeResult& got, const std::string& q, std::size_t k,
+              const std::string& context) const {
+    ExpectServedExact(got, index->KNearest(q, k), ReferenceRead(*ref, q, k),
+                      context);
+  }
+
+  /// Degraded answers: every reported distance is still the true one,
+  /// and every id appears once.
+  void ExpectTrueDistances(const ServeResult& got, const std::string& q,
+                           const std::string& context) const {
+    auto dist = MakeDistance("dE");
+    std::vector<std::size_t> seen;
+    for (const NeighborResult& nb : got.neighbors) {
+      ASSERT_LT(nb.index, protos.size()) << context;
+      EXPECT_EQ(nb.distance, dist->Distance(q, protos[nb.index])) << context;
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), nb.index), 0)
+          << context << " duplicate id " << nb.index;
+      seen.push_back(nb.index);
+    }
   }
 };
 
@@ -109,30 +112,9 @@ ServeOptions FastOptions() {
   return opt;
 }
 
-void ExpectHealthyIdentical(const ServeResult& got,
-                            const std::vector<NeighborResult>& want,
-                            const QueryStats& want_stats,
-                            const std::string& context) {
-  EXPECT_FALSE(got.partial) << context;
-  EXPECT_TRUE(got.missing_shards.empty()) << context;
-  ASSERT_EQ(got.neighbors.size(), want.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got.neighbors[i].index, want[i].index) << context << " i=" << i;
-    EXPECT_EQ(got.neighbors[i].distance, want[i].distance)
-        << context << " i=" << i;
-  }
-  EXPECT_TRUE(got.stats == want_stats)
-      << context << ": distributed (" << got.stats.distance_computations
-      << ", " << got.stats.bounded_abandons << ", "
-      << got.stats.pivot_computations << ", " << got.stats.shards_degraded
-      << ") != in-process (" << want_stats.distance_computations << ", "
-      << want_stats.bounded_abandons << ", " << want_stats.pivot_computations
-      << ", " << want_stats.shards_degraded << ")";
-}
+// --- Contract 1: healthy exactness -----------------------------------------
 
-// --- Contract 1: healthy bit-identity --------------------------------------
-
-TEST(ServeDistributedTest, HealthyLazyPathBitIdenticalAcrossWorkerCounts) {
+TEST(ServeDistributedTest, HealthyReadsExactAcrossWorkerCounts) {
   Workload w = MakeWorkload(120, 8, 7100);
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     Deployment dep(w.protos, shards, 8);
@@ -142,18 +124,13 @@ TEST(ServeDistributedTest, HealthyLazyPathBitIdenticalAcrossWorkerCounts) {
     ASSERT_EQ(router.pivots(), dep.index->pivots());
     for (const auto& q : w.queries) {
       const std::string ctx = "S=" + std::to_string(shards) + " q=" + q;
-      QueryStats s1;
-      const NeighborResult a = dep.index->Nearest(q, &s1);
-      ExpectHealthyIdentical(router.Nearest(q), {a}, s1, ctx + " k=1");
-
-      QueryStats sk;
-      const auto ka = dep.index->KNearest(q, 5, &sk);
-      ExpectHealthyIdentical(router.KNearest(q, 5), ka, sk, ctx + " k=5");
+      dep.Expect(router.Nearest(q), q, 1, ctx + " k=1");
+      dep.Expect(router.KNearest(q, 5), q, 5, ctx + " k=5");
     }
   }
 }
 
-TEST(ServeDistributedTest, HealthyBatchPathBitIdenticalAcrossWorkerCounts) {
+TEST(ServeDistributedTest, BatchAndRowReadsEqualKNearest) {
   Workload w = MakeWorkload(120, 8, 7200);
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     Deployment dep(w.protos, shards, 8);
@@ -162,24 +139,27 @@ TEST(ServeDistributedTest, HealthyBatchPathBitIdenticalAcrossWorkerCounts) {
     ASSERT_EQ(got.size(), w.queries.size());
     std::vector<double> row(dep.index->pivot_count());
     for (std::size_t i = 0; i < w.queries.size(); ++i) {
-      QueryStats ref;
-      dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-      const auto want =
-          dep.index->KNearestWithPivotRow(w.queries[i], 4, row.data(), &ref);
-      ExpectHealthyIdentical(got[i], want, ref,
-                             "S=" + std::to_string(shards) +
-                                 " q=" + w.queries[i]);
+      const std::string ctx =
+          "S=" + std::to_string(shards) + " q=" + w.queries[i];
+      dep.Expect(got[i], w.queries[i], 4, ctx + " batch");
+      dep.index->ComputePivotRow(w.queries[i], row.data());
+      dep.Expect(router.KNearestWithRow(w.queries[i], 4, row), w.queries[i],
+                 4, ctx + " row");
     }
+    EXPECT_THROW(router.KNearestWithRow(w.queries[0], 4, {1.0}),
+                 std::invalid_argument);
   }
 }
 
 // --- Contract 2: flagged degradation ---------------------------------------
 
-TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
+TEST(ServeDistributedTest, CrashDegradesExactlyThatShard) {
   Workload w = MakeWorkload(150, 3, 7300);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  opt.fault_spec = "crash:shard=2,op=step,nth=2";
+  // Both members of shard 2 crash on their first query: the primary on
+  // the scatter, the standby on the failover.
+  opt.fault_spec = "crash:shard=2,op=query,nth=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
@@ -187,53 +167,50 @@ TEST(ServeDistributedTest, CrashMidSweepDegradesExactlyThatShard) {
   EXPECT_TRUE(r.partial);
   ASSERT_EQ(r.missing_shards, std::vector<std::size_t>{2});
   EXPECT_EQ(r.stats.shards_degraded, 1u);
+  EXPECT_EQ(r.neighbors.size(), 3u);  // pivots and three shards answered
   EXPECT_FALSE(router.worker_alive(2));
-  // Every distance the degraded answer reports is still exact.
-  auto dist = MakeDistance("dE");
-  for (const NeighborResult& nb : r.neighbors) {
-    EXPECT_EQ(nb.distance, dist->Distance(w.queries[0], w.protos[nb.index]));
-  }
+  dep.ExpectTrueDistances(r, w.queries[0], "degraded");
 
-  // Respawn restores full health and bit-identity. The no-replica-selector
-  // crash directive fired on both group members, so respawn revives two
-  // processes.
+  // Respawn restores full health and exactness: two processes revived.
   EXPECT_FALSE(router.PingAll());
   EXPECT_EQ(router.RespawnDead(), 2u);
   EXPECT_TRUE(router.PingAll());
-  QueryStats ref;
-  const auto want = dep.index->KNearest(w.queries[1], 3, &ref);
-  ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want, ref,
-                         "post-respawn");
+  dep.Expect(router.KNearest(w.queries[1], 3), w.queries[1], 3,
+             "post-respawn");
 }
 
-TEST(ServeDistributedTest, UnresponsiveStepIsNeverRetriedAndDegrades) {
+TEST(ServeDistributedTest, UnansweredQueryWithoutRetriesDegrades) {
   Workload w = MakeWorkload(100, 2, 7400);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // The worker swallows one Step: the router must not resend a mutating
-  // op — the shard is degraded on the first timeout.
-  opt.fault_spec = "drop:shard=1,op=step,nth=1";
+  // Shard 1's members each swallow their first query and no retry is
+  // allowed: the primary (and the hedge racing it) miss the op timeout,
+  // both are condemned, and the shard is missing.
+  opt.fault_spec = "drop:shard=1,op=query,nth=1";
+  opt.op_retries = 0;
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
   const ServeResult r = router.Nearest(w.queries[0]);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{1});
   EXPECT_FALSE(router.worker_alive(1));
+  dep.ExpectTrueDistances(r, w.queries[0], "dropped");
 }
 
-TEST(ServeDistributedTest, UnresponsiveIdempotentOpIsRetriedTransparently) {
+TEST(ServeDistributedTest, UnresponsiveQueryIsRetriedTransparently) {
   Workload w = MakeWorkload(100, 4, 7500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Dropped Eval and dropped BeginLazy replies: both are idempotent, so
-  // the retry path must absorb them with no effect on the answer.
-  opt.fault_spec = "drop:shard=1,op=eval,nth=1|drop:shard=3,op=begin,nth=1";
+  // Dropped requests on two shards, hedging off: every request is
+  // idempotent, so the retry to the same primary absorbs the loss with no
+  // effect on the answer and nobody dies.
+  opt.fault_spec = "drop:shard=1,op=query,nth=1|drop:shard=3,op=query,nth=2";
+  opt.hedge_delay_ms = -1;
   ServeRouter router(dep.dir.path, opt);
   for (const auto& q : w.queries) {
-    QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
-    ExpectHealthyIdentical(router.KNearest(q, 3), want, ref,
-                           "retried q=" + q);
+    const ServeResult r = router.KNearest(q, 3);
+    dep.Expect(r, q, 3, "retried q=" + q);
+    EXPECT_EQ(r.failovers, 0u);
   }
   EXPECT_TRUE(router.PingAll());
 }
@@ -242,7 +219,7 @@ TEST(ServeDistributedTest, CorruptReplyIsTreatedAsDeadShard) {
   Workload w = MakeWorkload(100, 2, 7600);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  opt.fault_spec = "corrupt:shard=0,op=step,nth=1";
+  opt.fault_spec = "corrupt:shard=0,op=query,nth=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
   const ServeResult r = router.Nearest(w.queries[0]);
@@ -255,21 +232,58 @@ TEST(ServeDistributedTest, DeadlineExpiryReturnsFlaggedPartialIncumbents) {
   Workload w = MakeWorkload(200, 1, 7700);
   Deployment dep(w.protos, 4, 12);
   ServeOptions opt = FastOptions();
-  // Every remote evaluation outsleeps the per-op window, so the retries
-  // burn the whole budget: the sweep hits the deadline with candidates
-  // still live and must hand back flagged incumbents, not block.
-  opt.fault_spec = "delay:op=eval,ms=300";
+  // Every shard answers after the query deadline: the router must hand
+  // back the exact pivot incumbents, flagged, with the shards named —
+  // not block.
+  opt.fault_spec = "delay:op=query,ms=300";
   opt.query_deadline_ms = 250;
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
   const ServeResult r = router.KNearest(w.queries[0], 5);
   EXPECT_TRUE(r.partial);
-  EXPECT_FALSE(r.missing_shards.empty());
+  EXPECT_EQ(r.missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
   EXPECT_EQ(r.stats.shards_degraded, r.missing_shards.size());
-  // Whatever incumbents made it in before the deadline are exact.
+  EXPECT_EQ(r.stats.distance_computations, dep.index->pivot_count());
+  EXPECT_EQ(r.neighbors.size(), 5u);
+  dep.ExpectTrueDistances(r, w.queries[0], "deadline");
+}
+
+TEST(ServeDistributedTest, DeadlineMissesOnlyTheShardsThatHaveNotAnswered) {
+  Workload w = MakeWorkload(200, 3, 7750);
+  Deployment dep(w.protos, 4, 12);
+  ServeOptions opt = FastOptions();
+  // Only shard 0 answers after the deadline. The router gathers shard 0
+  // first and spends the whole budget there, but shards 1..3 answered
+  // long before: their replies must be merged, not declared missing.
+  opt.replicas = 1;
+  opt.fault_spec = "delay:shard=0,op=query,ms=500";
+  opt.query_deadline_ms = 150;
+  opt.auto_respawn = false;
+  ServeRouter router(dep.dir.path, opt);
   auto dist = MakeDistance("dE");
-  for (const NeighborResult& nb : r.neighbors) {
-    EXPECT_EQ(nb.distance, dist->Distance(w.queries[0], w.protos[nb.index]));
+  const std::size_t k = 5;
+  for (const auto& q : w.queries) {
+    const ServeResult r = router.KNearest(q, k);
+    EXPECT_TRUE(r.partial) << q;
+    EXPECT_EQ(r.missing_shards, std::vector<std::size_t>{0}) << q;
+    EXPECT_EQ(r.stats.shards_degraded, 1u) << q;
+    EXPECT_GT(r.stats.distance_computations, dep.index->pivot_count()) << q;
+    dep.ExpectTrueDistances(r, q, "slow shard 0 q=" + q);
+    // Exact over what answered: the pivots plus shards 1..3.
+    std::vector<double> want;
+    for (std::size_t i = 0; i < w.protos.size(); ++i) {
+      const auto& piv = dep.index->pivots();
+      if (dep.store->ShardOf(i) != 0 ||
+          std::find(piv.begin(), piv.end(), i) != piv.end()) {
+        want.push_back(dist->Distance(q, w.protos[i]));
+      }
+    }
+    std::sort(want.begin(), want.end());
+    want.resize(k);
+    ASSERT_EQ(r.neighbors.size(), k) << q;
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(r.neighbors[i].distance, want[i]) << q << " rank " << i;
+    }
   }
 }
 
@@ -277,25 +291,26 @@ TEST(ServeDistributedTest, CrashMidBatchCostsOneQueryAndAutoRespawns) {
   Workload w = MakeWorkload(120, 6, 7800);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // The worker for shard 1 dies when query 3's BeginRow arrives; respawn
-  // runs between queries, so exactly one answer in the batch is partial.
-  opt.fault_spec = "crash:shard=1,op=begin,nth=3";
+  // Shard 1's primary dies on query 3, its standby on the failover:
+  // respawn runs between queries, so exactly one answer is partial.
+  opt.fault_spec =
+      "crash:shard=1,op=query,nth=3,replica=0|"
+      "crash:shard=1,op=query,nth=1,replica=1";
+  // The schedule counts the standby's requests; a hedge on a slow machine
+  // would spend one early.
+  opt.hedge_delay_ms = -1;
   ServeRouter router(dep.dir.path, opt);
   const auto got = router.KNearestBatch(w.queries, 3);
   ASSERT_EQ(got.size(), w.queries.size());
-  std::vector<double> row(dep.index->pivot_count());
   std::size_t partials = 0;
   for (std::size_t i = 0; i < got.size(); ++i) {
     if (got[i].partial) {
       ++partials;
+      EXPECT_EQ(i, 2u);
       EXPECT_EQ(got[i].missing_shards, std::vector<std::size_t>{1}) << i;
       continue;
     }
-    QueryStats ref;
-    dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-    const auto want =
-        dep.index->KNearestWithPivotRow(w.queries[i], 3, row.data(), &ref);
-    ExpectHealthyIdentical(got[i], want, ref, "batch q=" + w.queries[i]);
+    dep.Expect(got[i], w.queries[i], 3, "batch q=" + w.queries[i]);
   }
   EXPECT_EQ(partials, 1u);
   EXPECT_TRUE(router.worker_alive(1));
@@ -305,16 +320,12 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   Workload w = MakeWorkload(120, 5, 7900);
   Deployment dep(w.protos, 4, 8);
   ServeRouter router(dep.dir.path, FastOptions());
-
-  QueryStats ref0;
-  const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
-  ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
-                         "pre-kill");
+  dep.Expect(router.KNearest(w.queries[0], 3), w.queries[0], 3, "pre-kill");
 
   // A real kill -9 of shard 2's *entire replica group*, not an injected
   // fault: the workers vanish between queries and the router finds out
-  // mid-query from the dead sockets. With no member left to promote, the
-  // shard degrades.
+  // mid-query from the dead sockets. With no member left to fail over
+  // to, the shard degrades.
   std::vector<pid_t> victims;
   for (std::size_t r = 0; r < router.replica_count(); ++r) {
     const pid_t victim = router.replica_pid(2, r);
@@ -326,38 +337,33 @@ TEST(ServeDistributedTest, KillNineOfWholeGroupIsSurvivedFlaggedAndRecovered) {
   const ServeResult during = router.KNearest(w.queries[1], 3);
   EXPECT_TRUE(during.partial);
   EXPECT_EQ(during.missing_shards, std::vector<std::size_t>{2});
-  auto dist = MakeDistance("dE");
-  for (const NeighborResult& nb : during.neighbors) {
-    EXPECT_EQ(nb.distance, dist->Distance(w.queries[1], w.protos[nb.index]));
-  }
+  dep.ExpectTrueDistances(during, w.queries[1], "during");
 
-  // auto_respawn brings shard 2 back for the next query: full bit-identity
-  // again, under fresh pids.
-  QueryStats ref2;
-  const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
-  ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
-                         "post-respawn");
+  // auto_respawn brings shard 2 back for the next query, under fresh pids.
+  dep.Expect(router.KNearest(w.queries[2], 3), w.queries[2], 3,
+             "post-respawn");
   EXPECT_TRUE(router.worker_alive(2));
   EXPECT_NE(router.worker_pid(2), victims[0]);
 }
 
 // --- Contract 3: replica-group failover ------------------------------------
 
-TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
+TEST(ServeDistributedTest, EveryPrimaryCrashedFailsOverExactUnflagged) {
   Workload w = MakeWorkload(150, 3, 8400);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Each shard's *primary* (replica 0) crashes on its 2nd visit pass.
-  // The standby holds bit-identical slab state, so every shard fails
-  // over mid-sweep and the query must come back exact and unflagged.
-  opt.fault_spec = "crash:op=step,nth=2,replica=0";
+  // Each shard's *primary* (replica 0) crashes on its 2nd query. The
+  // standby maps the same snapshot, so the resent request answers
+  // identically and the query comes back exact and unflagged.
+  opt.fault_spec = "crash:op=query,nth=2,replica=0";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
-  QueryStats ref;
-  const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
-  const ServeResult r = router.KNearest(w.queries[0], 3);
-  ExpectHealthyIdentical(r, want, ref, "mid-sweep failover");
+  const ServeResult r0 = router.KNearest(w.queries[0], 3);
+  dep.Expect(r0, w.queries[0], 3, "pre-crash");
+  EXPECT_EQ(r0.failovers, 0u);
+  const ServeResult r = router.KNearest(w.queries[1], 3);
+  dep.Expect(r, w.queries[1], 3, "failover");
   EXPECT_EQ(r.failovers, 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(router.primary_of(s), 1u) << "shard " << s;
@@ -367,91 +373,89 @@ TEST(ServeDistributedTest, EveryPrimaryCrashedMidSweepStaysExactUnflagged) {
 
   // The promotion is durable: the next query runs on the standbys with no
   // further failovers (and no respawn ever happened).
-  QueryStats ref1;
-  const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
-  const ServeResult r1 = router.KNearest(w.queries[1], 3);
-  ExpectHealthyIdentical(r1, want1, ref1, "post-failover");
-  EXPECT_EQ(r1.failovers, 0u);
+  const ServeResult r2 = router.KNearest(w.queries[2], 3);
+  dep.Expect(r2, w.queries[2], 3, "post-failover");
+  EXPECT_EQ(r2.failovers, 0u);
 }
 
 TEST(ServeDistributedTest, EveryPrimaryCrashedMidBatchStaysExactUnflagged) {
   Workload w = MakeWorkload(150, 5, 8500);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  opt.fault_spec = "crash:op=step,nth=2,replica=0";
+  opt.fault_spec = "crash:op=query,nth=2,replica=0";
   ServeRouter router(dep.dir.path, opt);
   const auto got = router.KNearestBatch(w.queries, 3);
   ASSERT_EQ(got.size(), w.queries.size());
-  std::vector<double> row(dep.index->pivot_count());
   std::size_t failovers = 0;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    QueryStats ref;
-    dep.index->ComputePivotRow(w.queries[i], row.data(), &ref);
-    const auto want =
-        dep.index->KNearestWithPivotRow(w.queries[i], 3, row.data(), &ref);
-    ExpectHealthyIdentical(got[i], want, ref,
-                           "batch failover q=" + w.queries[i]);
+    dep.Expect(got[i], w.queries[i], 3, "batch failover q=" + w.queries[i]);
     failovers += got[i].failovers;
   }
-  EXPECT_EQ(failovers, 4u);  // one promotion per shard, all in one query
+  EXPECT_EQ(failovers, 4u);  // one per shard, all in the second query
+}
+
+TEST(ServeDistributedTest, MangledPrimaryReplyFailsOverExact) {
+  Workload w = MakeWorkload(120, 2, 8550);
+  Deployment dep(w.protos, 4, 8);
+  ServeOptions opt = FastOptions();
+  // Shard 2's primary flips a byte of its first reply, CRC intact: the
+  // answer no longer decodes, so the primary is dead and the standby
+  // answers the same request.
+  opt.fault_spec = "mangle:shard=2,op=query,nth=1,replica=0";
+  opt.auto_respawn = false;
+  ServeRouter router(dep.dir.path, opt);
+  const ServeResult r = router.KNearest(w.queries[0], 3);
+  dep.Expect(r, w.queries[0], 3, "mangled primary");
+  EXPECT_EQ(r.failovers, 1u);
+  EXPECT_FALSE(router.replica_alive(2, 0));
+  EXPECT_EQ(router.primary_of(2), 1u);
 }
 
 TEST(ServeDistributedTest, RealKillNineOfPrimaryFailsOverMidQuery) {
   Workload w = MakeWorkload(120, 5, 8600);
   Deployment dep(w.protos, 4, 8);
   ServeRouter router(dep.dir.path, FastOptions());
-
-  QueryStats ref0;
-  const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
-  ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
-                         "pre-kill");
+  dep.Expect(router.KNearest(w.queries[0], 3), w.queries[0], 3, "pre-kill");
 
   // A real kill -9 of shard 2's primary. The router has no idea until the
-  // next query's scatter hits the dead socket — mid-query it promotes the
-  // standby and the answer stays exact and unflagged.
+  // next query's scatter hits the dead socket — it then resends the
+  // request to the standby and the answer stays exact and unflagged.
   const pid_t victim = router.worker_pid(2);
   ASSERT_GT(victim, 0);
   ASSERT_EQ(kill(victim, SIGKILL), 0);
 
-  QueryStats ref1;
-  const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
   const ServeResult during = router.KNearest(w.queries[1], 3);
-  ExpectHealthyIdentical(during, want1, ref1, "kill -9 failover");
+  dep.Expect(during, w.queries[1], 3, "kill -9 failover");
   EXPECT_GE(during.failovers, 1u);
   EXPECT_TRUE(router.worker_alive(2));
   EXPECT_NE(router.worker_pid(2), victim);
 
-  // auto_respawn refills the group between queries; the revived process
-  // rejoins at the next begin and the group is back to full strength.
-  QueryStats ref2;
-  const auto want2 = dep.index->KNearest(w.queries[2], 3, &ref2);
-  ExpectHealthyIdentical(router.KNearest(w.queries[2], 3), want2, ref2,
-                         "post-respawn");
+  // auto_respawn refills the group between queries.
+  dep.Expect(router.KNearest(w.queries[2], 3), w.queries[2], 3,
+             "post-respawn");
   EXPECT_TRUE(router.PingAll());
   for (std::size_t r = 0; r < router.replica_count(); ++r) {
     EXPECT_TRUE(router.replica_alive(2, r)) << "replica " << r;
   }
 }
 
-TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
+TEST(ServeDistributedTest, SlowPrimaryQueriesAreHedgedToTheStandby) {
   Workload w = MakeWorkload(120, 2, 8700);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Shard 1's primary answers Evals 100ms late — well inside the op
-  // timeout, so without hedging the query would simply crawl. With a
-  // 10ms hedge delay the router races each such Eval to the standby and
-  // takes its (identical) answer; nobody dies, nothing degrades.
-  opt.fault_spec = "delay:shard=1,op=eval,replica=0,ms=100";
+  // Shard 1's primary answers 100ms late — well inside the op timeout, so
+  // without hedging the query would simply crawl. With a 10ms hedge floor
+  // the router races the whole request to the standby and takes its
+  // (identical) answer; nobody dies, nothing degrades.
+  opt.fault_spec = "delay:shard=1,op=query,replica=0,ms=100";
   opt.hedge_delay_ms = 10;
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
   std::size_t hedged = 0;
   for (const auto& q : w.queries) {
-    QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
     const ServeResult r = router.KNearest(q, 3);
-    ExpectHealthyIdentical(r, want, ref, "hedged q=" + q);
+    dep.Expect(r, q, 3, "hedged q=" + q);
     EXPECT_EQ(r.failovers, 0u);
     EXPECT_EQ(r.replicas_evicted, 0u);
     hedged += r.hedged_evals;
@@ -463,56 +467,97 @@ TEST(ServeDistributedTest, SlowPrimaryEvalsAreHedgedToTheStandby) {
   EXPECT_EQ(router.primary_of(1), 0u);
 }
 
-TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedAndQueryStaysExact) {
-  Workload w = MakeWorkload(120, 2, 8800);
+TEST(ServeDistributedTest, DisagreeingStandbyIsEvictedByTheAudit) {
+  Workload w = MakeWorkload(120, ServeRouter::kAuditPeriod, 8800);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Shard 2's *standby* mangles its 3rd visit-pass reply: byte-wrong but
-  // CRC-valid, so only the router's replica agreement check can catch
-  // it. The primary's reply drives the merge — the answer stays exact —
-  // and the corrupt standby is evicted.
-  opt.fault_spec = "mangle:shard=2,op=step,nth=3,replica=1";
+  // Shard 2's *standby* mangles the first reply it sends: byte-wrong but
+  // CRC-valid. A standby only sees audited requests, and every audited
+  // reply is byte-compared with the primary's, so the audit of query
+  // kAuditPeriod catches it. The primary's reply is merged — the answer
+  // stays exact — and the corrupt standby is evicted.
+  opt.fault_spec = "mangle:shard=2,op=query,nth=1,replica=1";
+  opt.hedge_delay_ms = -1;  // only the audit may reach the standby
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
-  QueryStats ref;
-  const auto want = dep.index->KNearest(w.queries[0], 3, &ref);
-  const ServeResult r = router.KNearest(w.queries[0], 3);
-  ExpectHealthyIdentical(r, want, ref, "mangled standby");
-  EXPECT_EQ(r.replicas_evicted, 1u);
-  EXPECT_EQ(r.failovers, 0u);
+  std::size_t evicted = 0;
+  for (const auto& q : w.queries) {
+    const ServeResult r = router.KNearest(q, 3);
+    dep.Expect(r, q, 3, "audited q=" + q);
+    EXPECT_EQ(r.failovers, 0u);
+    evicted += r.replicas_evicted;
+  }
+  EXPECT_EQ(evicted, 1u);
   EXPECT_TRUE(router.replica_alive(2, 0));
   EXPECT_FALSE(router.replica_alive(2, 1));
   EXPECT_EQ(router.primary_of(2), 0u);
+  for (std::size_t s : {0u, 1u, 3u}) {
+    EXPECT_TRUE(router.replica_alive(s, 1)) << "agreeing standby " << s;
+  }
+}
+
+TEST(ServeDistributedTest, HungStandbyIsEvictedByTheAuditOnce) {
+  Workload w = MakeWorkload(120, 3 * ServeRouter::kAuditPeriod, 8850);
+  Deployment dep(w.protos, 4, 8);
+  ServeOptions opt = FastOptions();
+  // Every standby hangs far past the op timeout (alive, never answering).
+  // The first audit waits out the timeout once and evicts them; the
+  // respawned standbys are clean, so later audits cost nothing extra.
+  opt.fault_spec = "delay:op=query,replica=1,ms=5000";
+  opt.hedge_delay_ms = -1;  // only the audit may reach the standby
+  ServeRouter router(dep.dir.path, opt);
+
+  std::size_t evicted = 0;
+  std::size_t first_audit = w.queries.size();
+  std::vector<double> ms;
+  for (std::size_t i = 0; i < w.queries.size(); ++i) {
+    const auto& q = w.queries[i];
+    const auto t0 = std::chrono::steady_clock::now();
+    const ServeResult r = router.KNearest(q, 3);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    dep.Expect(r, q, 3, "hung standby q=" + q);
+    EXPECT_EQ(r.failovers, 0u);
+    if (r.replicas_evicted > 0 && first_audit == w.queries.size()) {
+      first_audit = i;
+    }
+    evicted += r.replicas_evicted;
+  }
+  EXPECT_EQ(evicted, router.shard_count());
+  EXPECT_LT(first_audit, ServeRouter::kAuditPeriod);
+  // The query after the first audit respawns the standbys; from then on
+  // no query pays the op timeout, two more audits included.
+  for (std::size_t i = ServeRouter::kAuditPeriod + 1; i < ms.size(); ++i) {
+    EXPECT_LT(ms[i], opt.op_timeout_ms) << "query " << i;
+  }
+  for (std::size_t s = 0; s < router.shard_count(); ++s) {
+    EXPECT_TRUE(router.replica_alive(s, 1)) << "respawned standby " << s;
+  }
 }
 
 TEST(ServeDistributedTest, AllShardsDeadReturnsAllMissingAscending) {
   Workload w = MakeWorkload(100, 2, 8900);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // Every replica of every shard crashes on its first begin: the whole
-  // fleet is gone. Lazy path: nothing survives, every shard is named,
-  // ascending. Row path: the pivot evaluations run router-side, so the
-  // answer still holds exact pivot incumbents.
-  opt.fault_spec = "crash:op=begin,nth=1";
+  // Every replica of every shard crashes on its first query: the whole
+  // fleet is gone. Every shard is named, ascending; the pivot row runs
+  // router-side, so the answer still holds the exact pivot incumbents.
+  opt.fault_spec = "crash:op=query,nth=1";
   opt.auto_respawn = false;
   ServeRouter router(dep.dir.path, opt);
 
-  const ServeResult lazy = router.KNearest(w.queries[0], 3);
-  EXPECT_TRUE(lazy.partial);
-  EXPECT_EQ(lazy.missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(lazy.stats.shards_degraded, 4u);
-  EXPECT_TRUE(lazy.neighbors.empty());
-
-  // Fresh router (the first one's fleet is dead and stays dead).
-  ServeRouter router2(dep.dir.path, opt);
-  const auto batch = router2.KNearestBatch({w.queries[1]}, 3);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(batch[0].partial);
-  EXPECT_EQ(batch[0].missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
-  auto dist = MakeDistance("dE");
-  for (const NeighborResult& nb : batch[0].neighbors) {
-    EXPECT_EQ(nb.distance, dist->Distance(w.queries[1], w.protos[nb.index]));
+  const ServeResult r = router.KNearest(w.queries[0], 3);
+  EXPECT_TRUE(r.partial);
+  EXPECT_EQ(r.missing_shards, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(r.stats.shards_degraded, 4u);
+  ASSERT_EQ(r.neighbors.size(), 3u);
+  dep.ExpectTrueDistances(r, w.queries[0], "fleet lost");
+  for (const NeighborResult& nb : r.neighbors) {
+    EXPECT_NE(std::find(router.pivots().begin(), router.pivots().end(),
+                        nb.index),
+              router.pivots().end());
   }
 }
 
@@ -525,11 +570,7 @@ TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
   opt.auto_respawn = false;
   opt.health_interval_ms = 25;
   ServeRouter router(dep.dir.path, opt);
-
-  QueryStats ref0;
-  const auto want0 = dep.index->KNearest(w.queries[0], 3, &ref0);
-  ExpectHealthyIdentical(router.KNearest(w.queries[0], 3), want0, ref0,
-                         "pre-kill");
+  dep.Expect(router.KNearest(w.queries[0], 3), w.queries[0], 3, "pre-kill");
 
   for (std::size_t r = 0; r < router.replica_count(); ++r) {
     const pid_t victim = router.replica_pid(1, r);
@@ -546,10 +587,8 @@ TEST(ServeDistributedTest, HealthLoopRevivesKilledReplicasInBackground) {
     if (!healthy) usleep(20 * 1000);
   }
   EXPECT_TRUE(healthy);
-  QueryStats ref1;
-  const auto want1 = dep.index->KNearest(w.queries[1], 3, &ref1);
-  ExpectHealthyIdentical(router.KNearest(w.queries[1], 3), want1, ref1,
-                         "post-revival");
+  dep.Expect(router.KNearest(w.queries[1], 3), w.queries[1], 3,
+             "post-revival");
 }
 
 TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
@@ -560,10 +599,8 @@ TEST(ServeDistributedTest, UnreplicatedTierStillServesExactlyAtROne) {
   ServeRouter router(dep.dir.path, opt);
   ASSERT_EQ(router.replica_count(), 1u);
   for (const auto& q : w.queries) {
-    QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
     const ServeResult r = router.KNearest(q, 3);
-    ExpectHealthyIdentical(r, want, ref, "R=1 q=" + q);
+    dep.Expect(r, q, 3, "R=1 q=" + q);
     EXPECT_EQ(r.failovers, 0u);
     EXPECT_EQ(r.hedged_evals, 0u);
   }
@@ -620,16 +657,23 @@ void ExpectSameServeResult(const ServeResult& a, const ServeResult& b,
   }
 }
 
-TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
+TEST(ServeDistributedTest, DegradedResultsAreDeterministicAcrossRuns) {
   Workload w = MakeWorkload(140, 5, 8000);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  // A mixed schedule: one crash and one swallowed mutating op. Counted
-  // per directive, the schedule is a pure function of the request
-  // sequence — so two fresh routers over the same queries must degrade
-  // identically, down to the stats.
-  opt.fault_spec = "crash:shard=2,op=step,nth=4|drop:shard=0,op=step,nth=6";
+  // A mixed schedule: shard 2 loses its whole group on query 3 (primary
+  // crash, then the standby on the failover), and shard 0's primary
+  // swallows its 4th request. Counted per directive, the schedule is a
+  // pure function of the request sequence — so two fresh routers over the
+  // same queries must degrade identically, down to the stats.
+  opt.fault_spec =
+      "crash:shard=2,op=query,nth=3,replica=0|"
+      "crash:shard=2,op=query,nth=1,replica=1|"
+      "drop:shard=0,op=query,nth=4,replica=0";
   opt.respawn_fault_spec = "";
+  // Hedging off: the dropped request is retried, and no hedge can spend a
+  // standby's scheduled request early.
+  opt.hedge_delay_ms = -1;
   auto run = [&]() {
     ServeRouter router(dep.dir.path, opt);
     std::vector<ServeResult> out;
@@ -641,18 +685,20 @@ TEST(ServeDistributedTest, DegradedLazyResultsAreDeterministicAcrossRuns) {
   ASSERT_EQ(first.size(), second.size());
   std::size_t partials = 0;
   for (std::size_t i = 0; i < first.size(); ++i) {
-    ExpectSameServeResult(first[i], second[i],
-                          "lazy run q=" + w.queries[i]);
+    ExpectSameServeResult(first[i], second[i], "run q=" + w.queries[i]);
     partials += first[i].partial ? 1 : 0;
   }
-  EXPECT_GT(partials, 0u);  // the schedule really fired
+  EXPECT_EQ(partials, 1u);  // the schedule really fired, exactly once
 }
 
 TEST(ServeDistributedTest, DegradedBatchResultsAreDeterministicAcrossRuns) {
   Workload w = MakeWorkload(140, 6, 8100);
   Deployment dep(w.protos, 4, 8);
   ServeOptions opt = FastOptions();
-  opt.fault_spec = "crash:shard=3,op=begin,nth=2";
+  opt.fault_spec =
+      "crash:shard=3,op=query,nth=2,replica=0|"
+      "crash:shard=3,op=query,nth=1,replica=1";
+  opt.hedge_delay_ms = -1;
   auto run = [&]() {
     ServeRouter router(dep.dir.path, opt);
     return router.KNearestBatch(w.queries, 3);
@@ -712,10 +758,7 @@ TEST(ServeDistributedTest, ExecFormWorkerBinaryServesIdentically) {
   opt.worker_binary = bin.string();
   ServeRouter router(dep.dir.path, opt);
   for (const auto& q : w.queries) {
-    QueryStats ref;
-    const auto want = dep.index->KNearest(q, 3, &ref);
-    ExpectHealthyIdentical(router.KNearest(q, 3), want, ref,
-                           "exec q=" + q);
+    dep.Expect(router.KNearest(q, 3), q, 3, "exec q=" + q);
   }
 }
 
@@ -727,17 +770,15 @@ TEST(ServeDistributedTest, RouterRejectsMissingManifest) {
 // --- Satellite: retry waits are gated by the query deadline -----------------
 
 TEST(ServeDistributedTest, DeadlineGatesRetryWaitsToQueryBudget) {
-  // Every begin is swallowed and the per-op timeout (4s) dwarfs the query
-  // deadline (200ms). SendRecv used to check the deadline only *after* a
-  // full op-timeout recv window and still slept + resent once the budget
-  // was gone, so this query burned multiple op timeouts past its deadline.
-  // The fix caps every recv window by the remaining budget and refuses to
-  // back off or resend once it is spent: the query must come back (flagged
-  // partial) in deadline-order time, not op-timeout-order time.
+  // Every query request is swallowed and the per-op timeout (4s) dwarfs
+  // the query deadline (200ms). Every wait is capped by the remaining
+  // budget and nothing is resent once it is spent: the query must come
+  // back (flagged partial) in deadline-order time, not op-timeout-order
+  // time.
   Workload w = MakeWorkload(80, 1, 9300);
   Deployment dep(w.protos, 2, 6);
   ServeOptions opt = FastOptions();
-  opt.fault_spec = "drop:op=begin";
+  opt.fault_spec = "drop:op=query";
   opt.op_timeout_ms = 4000;
   opt.op_retries = 2;
   opt.backoff_base_ms = 0;
@@ -758,39 +799,7 @@ TEST(ServeDistributedTest, DeadlineGatesRetryWaitsToQueryBudget) {
 
 // --- The mutable tier over the wire -----------------------------------------
 
-/// Distance-exactness oracle for a mutated deployment: the same contract
-/// the flat mutable tier pins (tests/mutable_laesa_test.cc) — exact
-/// distance profile rank for rank vs brute force over the live map, only
-/// live ids, reported distances true, no duplicates. Tie winners follow
-/// sweep order, so ids are not pinned on tied ranks.
-void ExpectServesLiveOracle(const ServeResult& got,
-                            const std::map<std::uint64_t, std::string>& live,
-                            const StringDistance& dist, const std::string& q,
-                            std::size_t k, const std::string& ctx) {
-  EXPECT_FALSE(got.partial) << ctx;
-  std::vector<NeighborResult> want;
-  for (const auto& [id, s] : live) {
-    want.push_back({static_cast<std::size_t>(id), dist.Distance(q, s)});
-  }
-  std::sort(want.begin(), want.end(), NeighborLess);
-  if (want.size() > k) want.resize(k);
-  ASSERT_EQ(got.neighbors.size(), want.size()) << ctx;
-  std::vector<std::size_t> seen;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const NeighborResult& nb = got.neighbors[i];
-    EXPECT_EQ(nb.distance, want[i].distance) << ctx << " rank " << i;
-    const auto it = live.find(nb.index);
-    ASSERT_NE(it, live.end())
-        << ctx << " rank " << i << " returned dead/unknown id " << nb.index;
-    EXPECT_EQ(nb.distance, dist.Distance(q, it->second)) << ctx << " rank "
-                                                         << i;
-    EXPECT_EQ(std::count(seen.begin(), seen.end(), nb.index), 0)
-        << ctx << " duplicate id " << nb.index;
-    seen.push_back(nb.index);
-  }
-}
-
-TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
+TEST(ServeDistributedTest, MutationsServeExactlyOnEveryReadPathReplicated) {
   Workload w = MakeWorkload(120, 5, 9400);
   Deployment dep(w.protos, 4, 8);
   ServeRouter router(dep.dir.path, FastOptions());  // default R=2
@@ -805,11 +814,13 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
     const std::uint64_t id = router.Insert(s);
     EXPECT_EQ(id, w.protos.size() + i);
     live[id] = s;
+    dep.ref->Insert(id, s);
   }
-  // Insert-only: the base stays unmasked, only the delta phase runs.
   for (const auto& q : w.queries) {
-    ExpectServesLiveOracle(router.KNearest(q, 5), live, *dist, q, 5,
-                           "delta-only lazy q=" + q);
+    const ServeResult r = router.KNearest(q, 5);
+    ExpectServesLiveOracle(r, live, *dist, q, 5, "delta-only q=" + q);
+    const ServeResult want = ReferenceRead(*dep.ref, q, 5);
+    EXPECT_TRUE(r.stats == want.stats) << "delta-only stats q=" << q;
   }
 
   // Removes: base ids (0 is a shard pivot), plus one delta id — with dedup
@@ -819,6 +830,7 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
         std::uint64_t{w.protos.size() + 2}}) {
     EXPECT_TRUE(router.Remove(id)) << id;
     live.erase(id);
+    dep.ref->Remove(id);
   }
   EXPECT_FALSE(router.Remove(0)) << "double remove must dedup";
   EXPECT_FALSE(router.Remove(w.protos.size() + 1000)) << "unknown id";
@@ -826,20 +838,20 @@ TEST(ServeDistributedTest, MutationsServeExactlyOnBothPathsReplicated) {
   EXPECT_EQ(router.next_insert_id(), w.protos.size() + 10);
 
   for (const auto& q : w.queries) {
-    // Masked lazy path (tombstoned base + delta)...
-    ExpectServesLiveOracle(router.KNearest(q, 5), live, *dist, q, 5,
-                           "masked lazy q=" + q);
-    // ...and the top-1 special case.
+    const ServeResult r = router.KNearest(q, 5);
+    ExpectServesLiveOracle(r, live, *dist, q, 5, "masked q=" + q);
+    const ServeResult want = ReferenceRead(*dep.ref, q, 5);
+    EXPECT_TRUE(r.stats == want.stats) << "masked stats q=" << q;
     ExpectServesLiveOracle(router.Nearest(q), live, *dist, q, 1,
                            "masked nearest q=" + q);
   }
-  // The pivot-row path masks too — including the removed pivot id 0, which
-  // must be skipped as a seed but never returned.
+  // The batch path masks too — including the removed pivot id 0, which
+  // must be skipped as an incumbent but never returned.
   const auto batch = router.KNearestBatch(w.queries, 5);
   ASSERT_EQ(batch.size(), w.queries.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ExpectServesLiveOracle(batch[i], live, *dist, w.queries[i], 5,
-                           "masked row q=" + w.queries[i]);
+                           "masked batch q=" + w.queries[i]);
   }
   EXPECT_TRUE(router.PingAll());
 }
@@ -866,12 +878,12 @@ TEST(ServeDistributedTest, MutationsServeExactlyAtROne) {
   EXPECT_EQ(router.live_size(), live.size());
   for (const auto& q : w.queries) {
     ExpectServesLiveOracle(router.KNearest(q, 4), live, *dist, q, 4,
-                           "R=1 lazy q=" + q);
+                           "R=1 q=" + q);
   }
   const auto batch = router.KNearestBatch(w.queries, 4);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ExpectServesLiveOracle(batch[i], live, *dist, w.queries[i], 4,
-                           "R=1 row q=" + w.queries[i]);
+                           "R=1 batch q=" + w.queries[i]);
   }
 }
 
@@ -924,9 +936,9 @@ TEST(ServeDistributedTest, RespawnedReplicaReplaysJournalBeforeRejoining) {
 TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {
   // The tombstone mask writes +inf into the lower-bound slab *after*
   // dequantization, so the admissible-rounding guarantee must survive at
-  // every table precision, under every compiled kernel — now over the
-  // wire. Workers are forked, so the active kernel is set before the
-  // router spawns them.
+  // every table precision, under every compiled kernel — over the wire.
+  // Workers are forked, so the active kernel is set before the router
+  // spawns them.
   Workload w = MakeWorkload(60, 3, 9700);
   auto dist = MakeDistance("dE");
   const std::string saved_kernel = ActiveSweepKernels().name;
@@ -953,12 +965,12 @@ TEST(ServeDistributedTest, MutatedTierStaysExactAcrossPrecisionsAndKernels) {
       }
       for (const auto& q : w.queries) {
         ExpectServesLiveOracle(router.KNearest(q, 3), live, *dist, q, 3,
-                               ctx + " lazy q=" + q);
+                               ctx + " q=" + q);
       }
       const auto batch = router.KNearestBatch({w.queries[0]}, 3);
       ASSERT_EQ(batch.size(), 1u);
       ExpectServesLiveOracle(batch[0], live, *dist, w.queries[0], 3,
-                             ctx + " row");
+                             ctx + " batch");
     }
   }
   ASSERT_TRUE(SetActiveSweepKernels(saved_kernel));

@@ -1,8 +1,9 @@
 // Wire-level contracts of the serving tier: checksummed framing round
 // trips, corruption and truncation surface as kMalformed (never a hang or
-// a garbage decode), receives are deadline-bounded, the payload codec is
+// a garbage decode), receives are deadline-bounded, the payload codecs are
 // strict about short reads and trailing bytes, and the CNED_FAULT grammar
-// parses deterministically.
+// parses deterministically and names exactly the request classes the
+// worker emits.
 
 #include "serve/frame.h"
 
@@ -12,11 +13,14 @@
 
 #include <chrono>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "serve/fault.h"
+#include "serve/wire.h"
 
 namespace cned {
 namespace {
@@ -40,11 +44,11 @@ TEST(ServeFrameTest, RoundTripsPayloadTypeSequenceAndQueryId) {
   w.I32(-42);
   w.F64(2.5);
   w.Str("hello frame");
-  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kStep, 99, 1234, w.buf.data(),
+  ASSERT_TRUE(SendFrame(sp.fds[0], FrameType::kBeginRow, 99, 1234, w.buf.data(),
                         w.buf.size()));
   Frame f;
   ASSERT_EQ(RecvFrame(sp.fds[1], &f, 1000), RecvStatus::kOk);
-  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kStep));
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kBeginRow));
   EXPECT_EQ(f.seq, 99u);
   EXPECT_EQ(f.qid, 1234u);
   PayloadReader r(f.payload);
@@ -96,6 +100,94 @@ TEST(ServeFrameTest, OversizedLengthAndUnknownTypeAreMalformed) {
     Frame f;
     EXPECT_EQ(RecvFrame(sp.fds[1], &f, 1000), RecvStatus::kMalformed);
   }
+}
+
+TEST(ServeFrameTest, RetiredFrameTypesAreMalformed) {
+  // The per-candidate protocol's types (BeginLazy, Eval, Step, StepRow,
+  // DeltaScan, EndSweep) are unassigned: a peer still speaking it is a
+  // corrupt stream, not a request to answer.
+  for (const std::uint32_t type : {2u, 4u, 5u, 6u, 12u, 13u}) {
+    EXPECT_FALSE(KnownFrameType(type)) << type;
+    FrameBuffer fb;
+    std::uint32_t header[5] = {0, type, 1, 0, 0};
+    fb.Append(header, sizeof(header));
+    Frame f;
+    EXPECT_EQ(fb.Pop(&f), FrameBuffer::Next::kMalformed) << type;
+  }
+  // The shard query keeps the historical enumerator and value.
+  EXPECT_EQ(static_cast<std::uint32_t>(FrameType::kBeginRow), 3u);
+  for (const FrameType t : {FrameType::kPing, FrameType::kBeginRow,
+                            FrameType::kShutdown, FrameType::kReply,
+                            FrameType::kError, FrameType::kInsert,
+                            FrameType::kRemove}) {
+    EXPECT_TRUE(KnownFrameType(static_cast<std::uint32_t>(t)));
+  }
+}
+
+TEST(ServeFrameTest, ShardQueryAndAnswerRoundTripStrictly) {
+  const std::vector<double> row = {1.0, 0.5, 3.25};
+  PayloadWriter w;
+  EncodeShardQuery(w, "query", 4, 2.5, row.data(), row.size());
+  {
+    PayloadReader r(w.buf);
+    std::string q;
+    std::uint64_t k = 0;
+    double cap = 0.0;
+    std::vector<double> got;
+    ASSERT_TRUE(DecodeShardQuery(r, row.size(), &q, &k, &cap, &got));
+    EXPECT_EQ(q, "query");
+    EXPECT_EQ(k, 4u);
+    EXPECT_EQ(cap, 2.5);
+    EXPECT_EQ(got, row);
+  }
+  {
+    // A row of the wrong width is malformed, not silently truncated.
+    PayloadReader r(w.buf);
+    std::string q;
+    std::uint64_t k = 0;
+    double cap = 0.0;
+    std::vector<double> got;
+    EXPECT_FALSE(DecodeShardQuery(r, row.size() + 1, &q, &k, &cap, &got));
+  }
+
+  ShardAnswer a;
+  a.hits = {{7, 0.5}, {3, 1.0}, {9, 1.0}};
+  a.computations = 11;
+  a.abandons = 4;
+  PayloadWriter aw;
+  EncodeShardAnswer(aw, a);
+  ShardAnswer b;
+  ASSERT_TRUE(DecodeShardAnswer(aw.buf, 3, &b));
+  ASSERT_EQ(b.hits.size(), 3u);
+  EXPECT_EQ(b.hits[2].index, 9u);
+  EXPECT_EQ(b.computations, 11u);
+  EXPECT_EQ(b.abandons, 4u);
+  // More hits than asked for, a flipped count byte, trailing bytes and
+  // out-of-order hits are all malformed.
+  EXPECT_FALSE(DecodeShardAnswer(aw.buf, 2, &b));
+  std::vector<char> mangled = aw.buf;
+  mangled[0] ^= 0x01;
+  EXPECT_FALSE(DecodeShardAnswer(mangled, 3, &b));
+  std::vector<char> trailing = aw.buf;
+  trailing.push_back(0);
+  EXPECT_FALSE(DecodeShardAnswer(trailing, 3, &b));
+  ShardAnswer unsorted;
+  unsorted.hits = {{3, 1.0}, {7, 0.5}};
+  PayloadWriter uw;
+  EncodeShardAnswer(uw, unsorted);
+  EXPECT_FALSE(DecodeShardAnswer(uw.buf, 3, &b));
+}
+
+TEST(ServeFrameTest, MergeTopKKeepsEachIdOnceInDistanceIdOrder) {
+  const auto merged =
+      MergeTopK({{5, 2.0}, {1, 1.0}, {5, 2.0}, {3, 1.0}, {8, 0.5}}, 4);
+  ASSERT_EQ(merged.size(), 4u);
+  EXPECT_EQ(merged[0].index, 8u);
+  EXPECT_EQ(merged[1].index, 1u);  // equal distance: lower id first
+  EXPECT_EQ(merged[2].index, 3u);
+  EXPECT_EQ(merged[3].index, 5u);
+  EXPECT_EQ(SeedCap({{1, 3.0}, {2, 1.0}, {3, 2.0}}, 2), 2.0);
+  EXPECT_EQ(SeedCap({{1, 3.0}}, 2), std::numeric_limits<double>::infinity());
 }
 
 TEST(ServeFrameTest, RecvTimesOutInsteadOfHanging) {
@@ -155,7 +247,7 @@ TEST(ServeFrameBufferTest, PopsMultipleFramesFromOneAppend) {
                           w1.buf.size()));
   ASSERT_TRUE(EncodeFrame(&bytes, FrameType::kError, 2, 200, w2.buf.data(),
                           w2.buf.size()));
-  ASSERT_TRUE(EncodeFrame(&bytes, FrameType::kEndSweep, 3, 300, nullptr, 0));
+  ASSERT_TRUE(EncodeFrame(&bytes, FrameType::kShutdown, 3, 300, nullptr, 0));
 
   FrameBuffer fb;
   fb.Append(bytes.data(), bytes.size());
@@ -171,7 +263,7 @@ TEST(ServeFrameBufferTest, PopsMultipleFramesFromOneAppend) {
   PayloadReader r2(f.payload);
   EXPECT_EQ(r2.Str(), "second");
   ASSERT_EQ(fb.Pop(&f), FrameBuffer::Next::kFrame);
-  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kEndSweep));
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(FrameType::kShutdown));
   EXPECT_TRUE(f.payload.empty());
   EXPECT_EQ(fb.Pop(&f), FrameBuffer::Next::kNeedMore);
   EXPECT_EQ(fb.buffered_bytes(), 0u);
@@ -182,7 +274,7 @@ TEST(ServeFrameBufferTest, PartialFrameWaitsAcrossAppends) {
   PayloadWriter w;
   w.Str("split across reads");
   ASSERT_TRUE(
-      EncodeFrame(&bytes, FrameType::kStep, 9, 42, w.buf.data(), w.buf.size()));
+      EncodeFrame(&bytes, FrameType::kBeginRow, 9, 42, w.buf.data(), w.buf.size()));
 
   FrameBuffer fb;
   Frame f;
@@ -264,87 +356,121 @@ TEST(ServeFrameTest, PayloadReaderRejectsShortAndTrailingBytes) {
 
 TEST(ServeFaultTest, ParsesFullGrammar) {
   const FaultSpec spec = FaultSpec::Parse(
-      "crash:shard=1,op=step,nth=3|delay:op=eval,every=2,ms=50|drop:|"
-      "corrupt:shard=0");
-  ASSERT_EQ(spec.directives.size(), 4u);
+      "crash:shard=1,op=query,nth=3|delay:op=ping,every=2,ms=50|drop:|"
+      "corrupt:shard=0,op=insert|mangle:op=remove");
+  ASSERT_EQ(spec.directives.size(), 5u);
   EXPECT_EQ(spec.directives[0].kind, FaultDirective::Kind::kCrash);
   EXPECT_EQ(spec.directives[0].shard, 1);
-  EXPECT_EQ(spec.directives[0].op, "step");
+  EXPECT_EQ(spec.directives[0].op, "query");
   EXPECT_EQ(spec.directives[0].nth, 3u);
   EXPECT_EQ(spec.directives[1].kind, FaultDirective::Kind::kDelay);
+  EXPECT_EQ(spec.directives[1].op, "ping");
   EXPECT_EQ(spec.directives[1].every, 2u);
   EXPECT_EQ(spec.directives[1].ms, 50u);
   EXPECT_EQ(spec.directives[1].shard, -1);
   EXPECT_EQ(spec.directives[2].kind, FaultDirective::Kind::kDrop);
   EXPECT_EQ(spec.directives[3].kind, FaultDirective::Kind::kCorrupt);
   EXPECT_EQ(spec.directives[3].shard, 0);
+  EXPECT_EQ(spec.directives[3].op, "insert");
+  EXPECT_EQ(spec.directives[4].kind, FaultDirective::Kind::kMangle);
+  EXPECT_EQ(spec.directives[4].op, "remove");
   EXPECT_TRUE(FaultSpec::Parse("").empty());
+}
+
+TEST(ServeFaultTest, EveryOpClassTheWorkerEmitsParses) {
+  // Every request type the worker classifies into a named class must be
+  // selectable by `op=`, so a mutation or a query can be targeted.
+  std::size_t named = 0;
+  for (std::uint32_t t = 1; t <= kMaxFrameType; ++t) {
+    if (!KnownFrameType(t)) continue;
+    const std::string op = FaultOpClass(static_cast<FrameType>(t));
+    if (op == "other") continue;
+    ++named;
+    const FaultSpec spec = FaultSpec::Parse("crash:op=" + op);
+    ASSERT_EQ(spec.directives.size(), 1u) << op;
+    EXPECT_EQ(spec.directives[0].op, op);
+  }
+  EXPECT_EQ(named, std::size(kFaultOps));
+  EXPECT_STREQ(FaultOpClass(FrameType::kBeginRow), "query");
+  EXPECT_STREQ(FaultOpClass(FrameType::kInsert), "insert");
+  EXPECT_STREQ(FaultOpClass(FrameType::kRemove), "remove");
+  EXPECT_STREQ(FaultOpClass(FrameType::kPing), "ping");
+}
+
+TEST(ServeFaultTest, RetiredOpNamesThrow) {
+  // A schedule written for the per-candidate protocol must fail loudly
+  // instead of silently never firing.
+  for (const char* op : {"begin", "eval", "step", "scan"}) {
+    EXPECT_THROW(FaultSpec::Parse(std::string("crash:op=") + op),
+                 std::invalid_argument)
+        << op;
+  }
 }
 
 TEST(ServeFaultTest, RejectsUnknownKindsKeysOpsAndValues) {
   EXPECT_THROW(FaultSpec::Parse("explode:shard=1"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("crash:when=now"), std::invalid_argument);
-  EXPECT_THROW(FaultSpec::Parse("crash:op=query"), std::invalid_argument);
+  EXPECT_THROW(FaultSpec::Parse("crash:op=everything"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("delay:ms=abc"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::Parse("crash:shard="), std::invalid_argument);
 }
 
 TEST(ServeFaultTest, NthFiresExactlyOnceAndCountsPerDirective) {
-  FaultInjector inj(FaultSpec::Parse("crash:op=step,nth=3"), /*shard=*/0);
-  EXPECT_FALSE(inj.OnRequest("step").crash);
-  EXPECT_FALSE(inj.OnRequest("eval").crash);  // non-matching: no count
-  EXPECT_FALSE(inj.OnRequest("step").crash);
-  EXPECT_TRUE(inj.OnRequest("step").crash);  // 3rd matching request
-  EXPECT_FALSE(inj.OnRequest("step").crash);
+  FaultInjector inj(FaultSpec::Parse("crash:op=query,nth=3"), /*shard=*/0);
+  EXPECT_FALSE(inj.OnRequest("query").crash);
+  EXPECT_FALSE(inj.OnRequest("ping").crash);  // non-matching: no count
+  EXPECT_FALSE(inj.OnRequest("query").crash);
+  EXPECT_TRUE(inj.OnRequest("query").crash);  // 3rd matching request
+  EXPECT_FALSE(inj.OnRequest("query").crash);
 }
 
 TEST(ServeFaultTest, EveryFiresPeriodicallyAndShardFilters) {
   FaultInjector hit(FaultSpec::Parse("delay:shard=2,every=2,ms=7"),
                     /*shard=*/2);
-  EXPECT_EQ(hit.OnRequest("eval").delay_ms, 0u);
-  EXPECT_EQ(hit.OnRequest("eval").delay_ms, 7u);
-  EXPECT_EQ(hit.OnRequest("eval").delay_ms, 0u);
-  EXPECT_EQ(hit.OnRequest("eval").delay_ms, 7u);
+  EXPECT_EQ(hit.OnRequest("query").delay_ms, 0u);
+  EXPECT_EQ(hit.OnRequest("query").delay_ms, 7u);
+  EXPECT_EQ(hit.OnRequest("query").delay_ms, 0u);
+  EXPECT_EQ(hit.OnRequest("query").delay_ms, 7u);
 
   FaultInjector miss(FaultSpec::Parse("delay:shard=2,every=1,ms=7"),
                      /*shard=*/1);
-  EXPECT_EQ(miss.OnRequest("eval").delay_ms, 0u);
+  EXPECT_EQ(miss.OnRequest("query").delay_ms, 0u);
 
   // No nth/every: fires on every match.
-  FaultInjector always(FaultSpec::Parse("corrupt:op=eval"), /*shard=*/0);
-  EXPECT_TRUE(always.OnRequest("eval").corrupt);
-  EXPECT_TRUE(always.OnRequest("eval").corrupt);
-  EXPECT_FALSE(always.OnRequest("step").corrupt);
+  FaultInjector always(FaultSpec::Parse("corrupt:op=query"), /*shard=*/0);
+  EXPECT_TRUE(always.OnRequest("query").corrupt);
+  EXPECT_TRUE(always.OnRequest("query").corrupt);
+  EXPECT_FALSE(always.OnRequest("insert").corrupt);
 }
 
 TEST(ServeFaultTest, ReplicaSelectorTargetsOneGroupMember) {
-  const FaultSpec spec = FaultSpec::Parse("crash:op=step,nth=1,replica=0");
+  const FaultSpec spec = FaultSpec::Parse("crash:op=query,nth=1,replica=0");
   ASSERT_EQ(spec.directives.size(), 1u);
   EXPECT_EQ(spec.directives[0].replica, 0);
 
   // Same spec, same shard, different group ordinal: only replica 0 fires.
   FaultInjector primary(spec, /*shard=*/1, /*replica=*/0);
   FaultInjector standby(spec, /*shard=*/1, /*replica=*/1);
-  EXPECT_TRUE(primary.OnRequest("step").crash);
-  EXPECT_FALSE(standby.OnRequest("step").crash);
+  EXPECT_TRUE(primary.OnRequest("query").crash);
+  EXPECT_FALSE(standby.OnRequest("query").crash);
 
   // No replica key: -1, fires on every member (whole-group faults).
-  const FaultSpec all = FaultSpec::Parse("crash:op=step,nth=1");
+  const FaultSpec all = FaultSpec::Parse("crash:op=query,nth=1");
   EXPECT_EQ(all.directives[0].replica, -1);
   FaultInjector m0(all, /*shard=*/0, /*replica=*/0);
   FaultInjector m1(all, /*shard=*/0, /*replica=*/1);
-  EXPECT_TRUE(m0.OnRequest("step").crash);
-  EXPECT_TRUE(m1.OnRequest("step").crash);
+  EXPECT_TRUE(m0.OnRequest("query").crash);
+  EXPECT_TRUE(m1.OnRequest("query").crash);
 
   EXPECT_THROW(FaultSpec::Parse("crash:replica="), std::invalid_argument);
 }
 
 TEST(ServeFaultTest, MangleKindFlagsPayloadCorruption) {
-  FaultInjector inj(FaultSpec::Parse("mangle:op=step,nth=2,replica=1"),
+  FaultInjector inj(FaultSpec::Parse("mangle:op=query,nth=2,replica=1"),
                     /*shard=*/3, /*replica=*/1);
-  const auto first = inj.OnRequest("step");
+  const auto first = inj.OnRequest("query");
   EXPECT_FALSE(first.mangle);
-  const auto second = inj.OnRequest("step");
+  const auto second = inj.OnRequest("query");
   EXPECT_TRUE(second.mangle);
   // Mangle is byte-corruption with a *valid* CRC: distinct from corrupt.
   EXPECT_FALSE(second.corrupt);
